@@ -195,9 +195,38 @@ func BenchmarkOpShardedReachAnswer(b *testing.B) {
 	for i := range queries {
 		queries[i] = NodePairQuery(rng.Intn(g.N()), rng.Intn(g.N()))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := ss.Answer(queries[i%len(queries)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkOpShardedReachBatch measures one 64-pair sharded reachability
+// batch (4 range-partitioned shards, default parallelism) over
+// CommunityGraph(16, 128, 256, 9) — the shape of the serving benchmark's
+// sharded-batch workload without HTTP, so fan-out and portal-merge cost is
+// visible per batch.
+func BenchmarkOpShardedReachBatch(b *testing.B) {
+	g := CommunityGraph(16, 128, 256, 9)
+	ss, err := BuildShardedStore("bench", ReachabilityScheme(), NewRangePartitioner(), 4, g.Encode())
+	if err != nil {
+		b.Fatal(err)
+	}
+	batches := make([][][]byte, 16)
+	rng := rand.New(rand.NewSource(6))
+	for i := range batches {
+		batches[i] = make([][]byte, 64)
+		for k := range batches[i] {
+			batches[i][k] = NodePairQuery(rng.Intn(g.N()), rng.Intn(g.N()))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := ss.AnswerBatch(batches[i%len(batches)], 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -220,6 +249,7 @@ func BenchmarkOpPreparedReachAnswer(b *testing.B) {
 	for i := range queries {
 		queries[i] = NodePairQuery(rng.Intn(1<<11), rng.Intn(1<<11))
 	}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := st.Answer(queries[i%len(queries)]); err != nil {

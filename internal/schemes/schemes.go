@@ -306,15 +306,30 @@ func RelationFromKeys(keys []int64) []byte {
 // --- Example 3: reachability ------------------------------------------------------
 
 // NodePairQuery encodes a (u, v) node-pair query.
-func NodePairQuery(u, v int) []byte { return core.EncodeUint64(uint64(u), uint64(v)) }
+func NodePairQuery(u, v int) []byte { return AppendNodePairQuery(nil, u, v) }
 
-// DecodeNodePairQuery parses a NodePairQuery back into (u, v).
+// AppendNodePairQuery appends the NodePairQuery encoding of (u, v) to b,
+// so hot loops can encode probes into one reused buffer.
+func AppendNodePairQuery(b []byte, u, v int) []byte {
+	return binary.AppendUvarint(binary.AppendUvarint(b, uint64(u)), uint64(v))
+}
+
+// DecodeNodePairQuery parses a NodePairQuery back into (u, v). It reads the
+// two uvarints in place — no allocation on success — with the same errors
+// as core.DecodeUint64(q, 2).
 func DecodeNodePairQuery(q []byte) (int, int, error) {
-	vs, err := core.DecodeUint64(q, 2)
-	if err != nil {
-		return 0, 0, err
+	u, k := binary.Uvarint(q)
+	if k <= 0 {
+		return 0, 0, fmt.Errorf("core: corrupt uint at %d", 0)
 	}
-	return int(vs[0]), int(vs[1]), nil
+	v, k2 := binary.Uvarint(q[k:])
+	if k2 <= 0 {
+		return 0, 0, fmt.Errorf("core: corrupt uint at %d", k)
+	}
+	if rest := len(q) - k - k2; rest != 0 {
+		return 0, 0, fmt.Errorf("core: %d trailing bytes", rest)
+	}
+	return int(u), int(v), nil
 }
 
 // ReachabilityLanguage is S2 from Example 3: ⟨G, (s, t)⟩ with the answer

@@ -299,13 +299,17 @@ func (ev *envelope) admit(dataset string) (release func(), reason string, ok boo
 	}, "", true
 }
 
+// jitterDraw is the uniform [0,1) draw behind the Retry-After jitter; a
+// test that asserts an exact header value pins it.
+var jitterDraw = rand.Float64
+
 // jitterSeconds renders a Retry-After delay in whole seconds (the
 // header's delta-seconds form), jittered ±20% so clients rejected in
 // the same instant don't retry in the same instant, and at least 1.
 // The 1s default base always renders as 1 (0.8–1.2s rounds to 1), so
 // the documented examples stay byte-stable.
 func jitterSeconds(base time.Duration) int {
-	j := time.Duration(float64(base) * (0.8 + 0.4*rand.Float64()))
+	j := time.Duration(float64(base) * (0.8 + 0.4*jitterDraw()))
 	s := int((j + time.Second/2) / time.Second)
 	if s < 1 {
 		s = 1

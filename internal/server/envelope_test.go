@@ -11,6 +11,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -165,12 +166,22 @@ func blockingCatalog(gate <-chan struct{}, entered chan<- struct{}) map[string]*
 // with Retry-After advertising the configured delay, and the parked
 // requests still complete once unblocked.
 func TestEnvelopeGlobalBackpressure(t *testing.T) {
+	// The advertised delay is jittered ±20%, which rounds a 3s base to 2 or
+	// 4 about one draw in six; the midpoint draw renders it exactly.
+	defer func(draw func() float64) { jitterDraw = draw }(jitterDraw)
+	jitterDraw = func() float64 { return 0.5 }
 	gate := make(chan struct{})
 	entered := make(chan struct{}, 4)
 	srv := New(store.NewRegistry(""), blockingCatalog(gate, entered))
 	srv.SetLimits(Limits{MaxInFlight: 2, RetryAfter: 3 * time.Second})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	// Deferred after ts.Close, so it runs first: a failure before the gate
+	// opens must release the parked handlers, or Close waits on them
+	// until the test binary times out.
+	var openGate sync.Once
+	release := func() { openGate.Do(func() { close(gate) }) }
+	defer release()
 	client := ts.Client()
 
 	if code := postJSON(t, client, ts.URL+"/v1/datasets", RegisterRequest{
@@ -179,23 +190,37 @@ func TestEnvelopeGlobalBackpressure(t *testing.T) {
 		t.Fatalf("register status %d", code)
 	}
 
-	// Park two queries inside the handlers — the envelope is now full.
+	// Park two queries inside the handlers — the envelope is now full. The
+	// goroutines report transport failures as status 0 instead of calling
+	// t.Fatal, which must only run on the test goroutine.
 	var wg sync.WaitGroup
 	codes := make(chan int, 2)
+	body, _ := json.Marshal(QueryRequest{Dataset: "d", Query: []byte("block")})
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var qr QueryResponse
-			codes <- postJSON(t, client, ts.URL+"/v1/query",
-				QueryRequest{Dataset: "d", Query: []byte("block")}, &qr)
+			resp, err := client.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Errorf("parked query: %v", err)
+				codes <- 0
+				return
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			codes <- resp.StatusCode
 		}()
 	}
-	<-entered
-	<-entered
+	for i := 0; i < 2; i++ {
+		select {
+		case <-entered:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("only %d of 2 queries reached the handler within 10s", i)
+		}
+	}
 
 	// The third request must be refused, not queued.
-	body, _ := json.Marshal(QueryRequest{Dataset: "d", Query: []byte("go")})
+	body, _ = json.Marshal(QueryRequest{Dataset: "d", Query: []byte("go")})
 	resp, err := client.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +245,7 @@ func TestEnvelopeGlobalBackpressure(t *testing.T) {
 			st.InFlight, st.Rejected429, st.MaxInFlight)
 	}
 
-	close(gate)
+	release()
 	wg.Wait()
 	close(codes)
 	for code := range codes {

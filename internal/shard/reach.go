@@ -18,15 +18,21 @@ package shard
 //	reach(u, v)  ⇔  same-shard reach(u, v)
 //	              ∨ ∃ portals p, q: reach_local(u, p) ∧ overlay(p, q) ∧ reach_local(q, v).
 //
-// Merge therefore ORs the same-shard verdict with the portal check, using
-// O(|portals|) local probes (each an O(1) closure read on its shard) plus
-// bitset lookups in the overlay closure — comfortably inside the NC
-// answering budget as long as the cross-edge cut stays small, which is the
-// same locality assumption every graph partitioner lives on.
+// Merge therefore ORs the same-shard verdict with the portal check. The
+// check is an accumulator over the overlay closure's rows: for every portal
+// p of u's shard that u reaches locally, row(p) — the portals p reaches
+// through the overlay — is ORed into one bitset; v-side probes "q reaches
+// v" then go only to portals q of v's shard whose accumulated bit is set.
+// That is O(|portals of u's and v's shards|) local probes (each an O(1)
+// closure read, encoded into one reused buffer) plus word-wide ORs —
+// comfortably inside the NC answering budget as long as the cross-edge cut
+// stays small, which is the same locality assumption every graph
+// partitioner lives on.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"pitract/internal/core"
 	"pitract/internal/graph"
@@ -45,31 +51,94 @@ type reachSummary struct {
 	cross       [][2]int // cross-shard edges, global ids
 	portals     []int    // ascending global ids of cross-edge endpoints
 	portalShard []int    // portalShard[i] = shard owning portals[i]
-	portal      map[int]int
-	// byShard groups portal global ids per shard, precomputed at decode
-	// time so Merge touches only the two relevant shards' portals instead
-	// of scanning (and re-hashing) every portal per query.
-	byShard map[int][]int
+	// byShard[s] lists the overlay indices (positions in portals) of shard
+	// s's portals, ascending; shards past its end own none.
+	byShard [][]int
 	closure []byte // reflexive overlay closure bitset, row-major over portals
+	// rows re-lays closure for the answer path, one word-aligned row per
+	// portal: row i is rows[i*rowWords:(i+1)*rowWords], with bit j set iff
+	// portal i reaches portal j through the overlay. Only Prepare builds it;
+	// it is never persisted.
+	rows     []uint64
+	rowWords int
 }
 
-// portalsFor returns the portals owned by shard s (nil when none).
-func (rs *reachSummary) portalsFor(s int) []int { return rs.byShard[s] }
-
-// index rebuilds the derived lookup structures from portals+portalShard.
-func (rs *reachSummary) index() {
-	rs.portal = make(map[int]int, len(rs.portals))
-	rs.byShard = make(map[int][]int)
-	for i, p := range rs.portals {
-		rs.portal[p] = i
-		s := rs.portalShard[i]
-		rs.byShard[s] = append(rs.byShard[s], p)
+// groupByShard rebuilds byShard from portalShard.
+func (rs *reachSummary) groupByShard() {
+	rs.byShard = nil
+	for i, s := range rs.portalShard {
+		for len(rs.byShard) <= s {
+			rs.byShard = append(rs.byShard, nil)
+		}
+		rs.byShard[s] = append(rs.byShard[s], i)
 	}
 }
 
-func (rs *reachSummary) overlayReach(pi, qi int) bool {
-	bit := pi*len(rs.portals) + qi
-	return rs.closure[bit/8]&(1<<(bit%8)) != 0
+// shardPortals returns the overlay indices of shard s's portals.
+func (rs *reachSummary) shardPortals(s int) []int {
+	if s < len(rs.byShard) {
+		return rs.byShard[s]
+	}
+	return nil
+}
+
+// portalIndex returns global vertex p's overlay index; p must be a portal.
+func (rs *reachSummary) portalIndex(p int) int { return sort.SearchInts(rs.portals, p) }
+
+// layRows builds rows from the byte-packed closure.
+func (rs *reachSummary) layRows() {
+	np := len(rs.portals)
+	rs.rowWords = (np + 63) / 64
+	rs.rows = make([]uint64, np*rs.rowWords)
+	for i := 0; i < np; i++ {
+		row := rs.rows[i*rs.rowWords:]
+		for j := 0; j < np; j++ {
+			if bit := i*np + j; rs.closure[bit/8]&(1<<(bit%8)) != 0 {
+				row[j/64] |= 1 << (j % 64)
+			}
+		}
+	}
+}
+
+// portalReach decides the cross-shard half of reach(u, v), for u in shard su
+// and v in shard sv: it ORs into one accumulator the overlay row of every
+// portal of su that u reaches locally, then probes "q reaches v" only for
+// portals q of sv whose accumulated bit is set. Every local probe goes
+// through probe, encoded into one buffer reused across the merge.
+func (rs *reachSummary) portalReach(u, v, su, sv int, probe Probe) (bool, error) {
+	from, to := rs.shardPortals(su), rs.shardPortals(sv)
+	if len(from) == 0 || len(to) == 0 {
+		return false, nil
+	}
+	// Overlays of up to 512 portals accumulate on the stack.
+	var small [8]uint64
+	acc := small[:]
+	if rs.rowWords > len(small) {
+		acc = make([]uint64, rs.rowWords)
+	}
+	buf := make([]byte, 0, 2*binary.MaxVarintLen64)
+	lu, lv := int(rs.local[u]), int(rs.local[v])
+	for _, p := range from {
+		ok, err := probe(su, schemes.AppendNodePairQuery(buf[:0], lu, int(rs.local[rs.portals[p]])))
+		if err != nil {
+			return false, err
+		}
+		if ok {
+			for i, w := range rs.rows[p*rs.rowWords : (p+1)*rs.rowWords] {
+				acc[i] |= w
+			}
+		}
+	}
+	for _, q := range to {
+		if acc[q/64]&(1<<(q%64)) == 0 {
+			continue
+		}
+		ok, err := probe(sv, schemes.AppendNodePairQuery(buf[:0], int(rs.local[rs.portals[q]]), lv))
+		if err != nil || ok {
+			return ok, err
+		}
+	}
+	return false, nil
 }
 
 func encodeReachSummary(rs *reachSummary) []byte {
@@ -167,7 +236,17 @@ func decodeReachSummary(b []byte) (*reachSummary, error) {
 		if p >= n64 {
 			return nil, fmt.Errorf("shard: portal %d out of range [0,%d)", p, n64)
 		}
+		if i > 0 && int(p) <= rs.portals[i-1] {
+			return nil, fmt.Errorf("shard: portal %d out of order", p)
+		}
 		rs.portals[i] = int(p)
+	}
+	for _, e := range rs.cross {
+		for _, p := range e {
+			if i := rs.portalIndex(p); i == len(rs.portals) || rs.portals[i] != p {
+				return nil, fmt.Errorf("shard: cross edge endpoint %d is not a portal", p)
+			}
+		}
 	}
 	rs.portalShard = make([]int, p64)
 	for i := range rs.portalShard {
@@ -182,7 +261,7 @@ func decodeReachSummary(b []byte) (*reachSummary, error) {
 		}
 		rs.portalShard[i] = int(s)
 	}
-	rs.index()
+	rs.groupByShard()
 	rs.closure = b[off:]
 	if want := (len(rs.portals)*len(rs.portals) + 7) / 8; len(rs.closure) != want {
 		return nil, fmt.Errorf("shard: overlay closure is %d bytes, want %d", len(rs.closure), want)
@@ -356,8 +435,9 @@ func buildReachSummary(g *graph.Graph, shardOf []int, local []uint32, counts []i
 }
 
 // recomputePortals rederives the portal set (ascending global ids), the
-// per-portal shard assignment, and the lookup indexes from the cross-edge
-// list — the canonical source after an insert may have created new portals.
+// per-portal shard assignment, and the per-shard grouping from the
+// cross-edge list — the canonical source after an insert may have created
+// new portals.
 func (rs *reachSummary) recomputePortals(asn Assignment) {
 	isPortal := make(map[int]bool)
 	for _, e := range rs.cross {
@@ -374,7 +454,7 @@ func (rs *reachSummary) recomputePortals(asn Assignment) {
 	for i, p := range rs.portals {
 		rs.portalShard[i] = asn.Shard(int64(p))
 	}
-	rs.index()
+	rs.groupByShard()
 }
 
 // rebuildClosure recomputes the overlay transitive closure from the
@@ -385,23 +465,26 @@ func (rs *reachSummary) recomputePortals(asn Assignment) {
 func (rs *reachSummary) rebuildClosure(probe Probe) error {
 	overlay := graph.New(len(rs.portals), true)
 	for _, e := range rs.cross {
-		overlay.MustAddEdge(rs.portal[e[0]], rs.portal[e[1]])
+		pi, qi := rs.portalIndex(e[0]), rs.portalIndex(e[1])
+		overlay.MustAddEdge(pi, qi)
 		if !rs.directed {
-			overlay.MustAddEdge(rs.portal[e[1]], rs.portal[e[0]])
+			overlay.MustAddEdge(qi, pi)
 		}
 	}
+	var buf []byte
 	for s, ps := range rs.byShard {
-		for _, p := range ps {
-			for _, q := range ps {
-				if p == q {
+		for _, pi := range ps {
+			for _, qi := range ps {
+				if pi == qi {
 					continue
 				}
-				ok, err := probe(s, schemes.NodePairQuery(int(rs.local[p]), int(rs.local[q])))
+				buf = schemes.AppendNodePairQuery(buf[:0], int(rs.local[rs.portals[pi]]), int(rs.local[rs.portals[qi]]))
+				ok, err := probe(s, buf)
 				if err != nil {
 					return err
 				}
 				if ok {
-					overlay.MustAddEdge(rs.portal[p], rs.portal[q])
+					overlay.MustAddEdge(pi, qi)
 				}
 			}
 		}
@@ -582,7 +665,12 @@ func reachabilitySharding(withDeltas bool) *Sharding {
 		Summarize:      summarizeGraph,
 		SplitSummarize: splitSummarizeGraph,
 		Prepare: func(summary []byte) (interface{}, error) {
-			return decodeReachSummary(summary)
+			rs, err := decodeReachSummary(summary)
+			if err != nil {
+				return nil, err
+			}
+			rs.layRows()
+			return rs, nil
 		},
 		Route: func(q []byte, asn Assignment) (int, error) {
 			// Validate the query shape here (malformed queries must error
@@ -620,39 +708,7 @@ func reachabilitySharding(withDeltas bool) *Sharding {
 			if su == sv && verdicts[su] {
 				return true, nil
 			}
-			// A = portals u reaches inside its shard; B = portals reaching v
-			// inside its shard; connected iff the overlay closure joins them.
-			// The per-shard portal lists are precomputed at summary decode.
-			var from, to []int // overlay indices
-			for _, p := range rs.portalsFor(su) {
-				ok, err := probe(su, schemes.NodePairQuery(int(rs.local[u]), int(rs.local[p])))
-				if err != nil {
-					return false, err
-				}
-				if ok {
-					from = append(from, rs.portal[p])
-				}
-			}
-			if len(from) == 0 {
-				return false, nil
-			}
-			for _, p := range rs.portalsFor(sv) {
-				ok, err := probe(sv, schemes.NodePairQuery(int(rs.local[p]), int(rs.local[v])))
-				if err != nil {
-					return false, err
-				}
-				if ok {
-					to = append(to, rs.portal[p])
-				}
-			}
-			for _, pi := range from {
-				for _, qi := range to {
-					if rs.overlayReach(pi, qi) {
-						return true, nil
-					}
-				}
-			}
-			return false, nil
+			return rs.portalReach(u, v, su, sv, probe)
 		},
 	}
 	if withDeltas {

@@ -61,7 +61,9 @@ var (
 )
 
 // Probe answers a follow-up local query against one shard during Merge —
-// e.g. reachability's "does u reach portal p inside its shard".
+// e.g. reachability's "does u reach portal p inside its shard". localQuery
+// is only valid for the duration of the call: callers may reuse its buffer
+// for the next probe.
 type Probe func(shard int, localQuery []byte) (bool, error)
 
 // Sharding adapts one scheme to partitioned stores. Split/Keys/Summarize
@@ -190,7 +192,7 @@ type ShardedStore struct {
 
 // summaryView returns the decoded summary, preparing it once per summary
 // value. Callers hold ss.mu (read or write), which orders it against
-// ApplyDeltas' refresh.
+// ApplyDeltas' refresh, and take the view once per answer call.
 func (ss *ShardedStore) summaryView() (interface{}, error) {
 	if ss.Sharding.Prepare == nil {
 		return ss.Summary, nil
@@ -293,13 +295,17 @@ func (ss *ShardedStore) AnswerContext(ctx context.Context, q []byte) (bool, erro
 		}
 		return ss.Stores[owner].AnswerContext(ctx, q)
 	}
+	sv, err := ss.summaryView()
+	if err != nil {
+		return false, err
+	}
 	fanStart := obs.Start()
 	verdicts := make([]bool, len(ss.Stores))
 	for i := range ss.Stores {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		local, keep, err := ss.fanout(q, i)
+		local, keep, err := ss.fanout(q, i, sv)
 		if err != nil {
 			return false, err
 		}
@@ -313,7 +319,7 @@ func (ss *ShardedStore) AnswerContext(ctx context.Context, q []byte) (bool, erro
 	}
 	obsShardFanout.Since(fanStart)
 	mergeStart := obs.Start()
-	v, err := ss.merge(q, verdicts)
+	v, err := ss.merge(q, verdicts, sv, ss.probe)
 	obsShardMerge.Since(mergeStart)
 	return v, err
 }
@@ -333,20 +339,18 @@ func (ss *ShardedStore) RetryPrepare() error {
 	return firstErr
 }
 
-// fanout applies Sharding.Fanout with the identity default.
-func (ss *ShardedStore) fanout(q []byte, shardIdx int) ([]byte, bool, error) {
+// fanout applies Sharding.Fanout with the identity default; sv is the
+// call's summaryView.
+func (ss *ShardedStore) fanout(q []byte, shardIdx int, sv interface{}) ([]byte, bool, error) {
 	if ss.Sharding.Fanout == nil {
 		return q, true, nil
-	}
-	sv, err := ss.summaryView()
-	if err != nil {
-		return nil, false, err
 	}
 	return ss.Sharding.Fanout(q, shardIdx, ss.Asn, sv)
 }
 
-// merge applies Sharding.Merge with the OR default.
-func (ss *ShardedStore) merge(q []byte, verdicts []bool) (bool, error) {
+// merge applies Sharding.Merge with the OR default; sv is the call's
+// summaryView and probe its ss.probe, both taken once per answer call.
+func (ss *ShardedStore) merge(q []byte, verdicts []bool, sv interface{}, probe Probe) (bool, error) {
 	if ss.Sharding.Merge == nil {
 		for _, v := range verdicts {
 			if v {
@@ -355,11 +359,7 @@ func (ss *ShardedStore) merge(q []byte, verdicts []bool) (bool, error) {
 		}
 		return false, nil
 	}
-	sv, err := ss.summaryView()
-	if err != nil {
-		return false, err
-	}
-	return ss.Sharding.Merge(q, verdicts, ss.Asn, sv, ss.probe)
+	return ss.Sharding.Merge(q, verdicts, ss.Asn, sv, probe)
 }
 
 // AnswerBatch answers queries concurrently, in query order, riding the
@@ -404,6 +404,13 @@ func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte
 			fanned = append(fanned, i)
 		}
 	}
+	var sv interface{}
+	if len(fanned) > 0 {
+		var err error
+		if sv, err = ss.summaryView(); err != nil {
+			return nil, fmt.Errorf("shard: batch query %d: %w", fanned[0], err)
+		}
+	}
 
 	// Per-shard batches run concurrently across shards; inside each shard
 	// the scheme's AnswerBatch worker pool spreads the queries. The
@@ -438,10 +445,12 @@ func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte
 		}
 		mu.Unlock()
 	}
-	// verdicts[j][i] is shard i's verdict for fan-out query fanned[j].
+	// verdicts[j][i] is shard i's verdict for fan-out query fanned[j]; the
+	// rows share one backing array.
 	verdicts := make([][]bool, len(fanned))
+	flat := make([]bool, len(fanned)*n)
 	for j := range verdicts {
-		verdicts[j] = make([]bool, n)
+		verdicts[j] = flat[j*n : (j+1)*n]
 	}
 	// One observation covers the whole concurrent fan-out section: with
 	// per-shard batches in flight simultaneously, the meaningful latency is
@@ -479,7 +488,7 @@ func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte
 				var batch [][]byte
 				var owners []int // j index into fanned/verdicts
 				for j, qi := range fanned {
-					local, keep, err := ss.fanout(queries[qi], i)
+					local, keep, err := ss.fanout(queries[qi], i, sv)
 					if err != nil {
 						fail(fmt.Errorf("shard: batch query %d: %w", qi, err))
 						return
@@ -518,6 +527,7 @@ func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte
 		if workers > len(fanned) {
 			workers = len(fanned)
 		}
+		probe := ss.probe
 		var (
 			next   atomic.Int64
 			failed atomic.Bool
@@ -538,7 +548,7 @@ func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte
 						failed.Store(true)
 						return
 					}
-					got, err := ss.merge(queries[fanned[j]], verdicts[j])
+					got, err := ss.merge(queries[fanned[j]], verdicts[j], sv, probe)
 					if err != nil {
 						mergeErrs[j] = err
 						failed.Store(true)

@@ -46,17 +46,21 @@ func NewCachedDataset(ds Dataset, c *cache.Cache) Dataset {
 // runs the underlying answer once, with concurrent callers of the same key
 // coalesced onto that one run (singleflight).
 func (cd *cachedDataset) Answer(q []byte) (bool, error) {
+	return cd.do(q, func() (bool, error) { return cd.Dataset.Answer(q) })
+}
+
+// do serves q through the cache, running answer on a miss, and records the
+// lookup under the cache_hit or cache_miss stage.
+func (cd *cachedDataset) do(q []byte, answer func() (bool, error)) (bool, error) {
 	version := cd.Dataset.Version()
 	start := obs.Start()
 	if start.IsZero() { // metrics disabled: skip the outcome bookkeeping
-		return cd.c.Do(cd.Dataset.DatasetID(), version, q, func() (bool, error) {
-			return cd.Dataset.Answer(q)
-		})
+		return cd.c.Do(cd.Dataset.DatasetID(), version, q, answer)
 	}
 	ran := false
 	v, err := cd.c.Do(cd.Dataset.DatasetID(), version, q, func() (bool, error) {
 		ran = true
-		return cd.Dataset.Answer(q)
+		return answer()
 	})
 	if ran {
 		obsCacheMiss.Since(start)
@@ -131,9 +135,7 @@ func (cd *cachedDataset) AnswerContext(ctx context.Context, q []byte) (bool, err
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
-	return cd.c.Do(cd.Dataset.DatasetID(), cd.Dataset.Version(), q, func() (bool, error) {
-		return ca.AnswerContext(ctx, q)
-	})
+	return cd.do(q, func() (bool, error) { return ca.AnswerContext(ctx, q) })
 }
 
 // AnswerBatchContext implements ContextAnswerer with entry-point

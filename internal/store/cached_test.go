@@ -5,10 +5,14 @@ package store
 // internal/server/cache_test.go.
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pitract/internal/cache"
+	"pitract/internal/graph"
+	"pitract/internal/schemes"
 )
 
 // scriptedDataset is a Dataset stub with a controllable version and
@@ -99,5 +103,34 @@ func TestCachedBatchFillsAndServes(t *testing.T) {
 	st := c.Stats()
 	if st.Misses != 3 || st.Hits != 3 || st.Entries != 3 {
 		t.Fatalf("stats = %+v, want 3 misses then 3 hits", st)
+	}
+}
+
+// TestCachedAnswerWithinRecordsCacheStages pins the served path's cache
+// bookkeeping: a budgeted query goes AnswerWithin → AnswerContext, and a
+// repeat of it must count as a cache_hit (the first as a cache_miss), just
+// as through Answer.
+func TestCachedAnswerWithinRecordsCacheStages(t *testing.T) {
+	g := graph.RandomDirected(64, 256, 5)
+	scheme := schemes.ReachabilityScheme()
+	pd, err := scheme.Preprocess(g.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd := NewCachedDataset(&Store{ID: "g", Scheme: scheme, Prep: pd}, cache.New(1<<20))
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	q := schemes.NodePairQuery(1, 2)
+	hits, misses := obsCacheHit.Snapshot().Count, obsCacheMiss.Snapshot().Count
+	for i := 0; i < 2; i++ {
+		if _, err := AnswerWithin(ctx, cd, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := obsCacheMiss.Snapshot().Count - misses; got != 1 {
+		t.Errorf("cache_miss count rose by %d, want 1", got)
+	}
+	if got := obsCacheHit.Snapshot().Count - hits; got != 1 {
+		t.Errorf("cache_hit count rose by %d, want 1", got)
 	}
 }

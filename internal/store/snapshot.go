@@ -383,23 +383,29 @@ type Store struct {
 	// checkpoint (guarded by maintMu); when it reaches the medium's
 	// CheckpointEvery the snapshot is rewritten and the log truncated.
 	walRecords int
-	// ans is the prepared answerer for the current Π (core.PreparedScheme):
+	// prep is the prepared answerer for the current Π (core.PreparedScheme):
 	// the scheme's typed decoded form, built once per Π — eagerly by Warm at
 	// registration/load, or lazily on the first answer for stores assembled
 	// by hand — and refreshed as part of the same commit that swaps Prep and
-	// version, so a query never pairs a new Π with an old prepared form.
-	// ansErr is the sticky Prepare failure for the current Π (a corrupt
-	// preprocessed string errors once at preparation; every answer surfaces
-	// it, matching the raw path's per-query validation error). Both are nil
-	// while the answerer is unbuilt.
-	ans    core.Answerer
-	ansErr error
+	// version, so a query never pairs a new Π with an old prepared form. It
+	// is nil while the answerer is unbuilt. Writers store it inside mu's
+	// write-locked sections; the answer path loads it without taking mu, so
+	// a probe costs no lock traffic.
+	prep atomic.Pointer[prepared]
 	// fb is the degraded-mode fallback answerer for the current Π (built
 	// from Scheme.PrepareFallback on first degraded answer, invalidated
-	// with ans on every maintenance commit); fbErr is its sticky build
-	// failure. Both are guarded by mu like ans/ansErr.
+	// with prep on every maintenance commit); fbErr is its sticky build
+	// failure. Both are guarded by mu.
 	fb    core.Answerer
 	fbErr error
+}
+
+// prepared is a built answerer for one Π, or its sticky Prepare failure (a
+// corrupt preprocessed string errors once at preparation; every answer
+// surfaces it, matching the raw path's per-query validation error).
+type prepared struct {
+	ans core.Answerer
+	err error
 }
 
 // PrepareError marks a failed Scheme.Prepare — the answerer build —
@@ -459,7 +465,11 @@ func (st *Store) Replace(prep []byte, version uint64) {
 func (st *Store) ReplacePrepared(prep []byte, version uint64, a core.Answerer, aerr error) {
 	st.mu.Lock()
 	st.Prep, st.version = prep, version
-	st.ans, st.ansErr = a, wrapPrepareErr(aerr)
+	if a == nil && aerr == nil {
+		st.prep.Store(nil) // unbuilt: the first answer prepares it
+	} else {
+		st.prep.Store(&prepared{ans: a, err: wrapPrepareErr(aerr)})
+	}
 	// The fallback answerer decodes the same Π: a maintenance commit
 	// invalidates it too (rebuilt lazily on the next degraded answer).
 	st.fb, st.fbErr = nil, nil
@@ -490,20 +500,23 @@ func (st *Store) Warm() { st.answerer() }
 // prepared, the freshly built form still matches the Π this call read, so
 // it is used for this answer and discarded.
 func (st *Store) answerer() (core.Answerer, error) {
-	st.mu.RLock()
-	a, aerr, pd, v := st.ans, st.ansErr, st.Prep, st.version
-	st.mu.RUnlock()
-	if a != nil || aerr != nil {
-		return a, aerr
+	if p := st.prep.Load(); p != nil {
+		return p.ans, p.err
 	}
-	a, aerr = st.Scheme.Prepare(pd)
-	aerr = wrapPrepareErr(aerr)
+	st.mu.RLock()
+	p, pd, v := st.prep.Load(), st.Prep, st.version
+	st.mu.RUnlock()
+	if p != nil {
+		return p.ans, p.err
+	}
+	a, aerr := st.Scheme.Prepare(pd)
+	p = &prepared{ans: a, err: wrapPrepareErr(aerr)}
 	st.mu.Lock()
-	if st.ans == nil && st.ansErr == nil && st.version == v {
-		st.ans, st.ansErr = a, aerr
+	if st.prep.Load() == nil && st.version == v {
+		st.prep.Store(p)
 	}
 	st.mu.Unlock()
-	return a, aerr
+	return p.ans, p.err
 }
 
 // RetryPrepare implements PrepareRetrier: it drops the cached prepared
@@ -514,7 +527,7 @@ func (st *Store) answerer() (core.Answerer, error) {
 // breaker's half-open probe.
 func (st *Store) RetryPrepare() error {
 	st.mu.Lock()
-	st.ans, st.ansErr = nil, nil
+	st.prep.Store(nil)
 	st.fb, st.fbErr = nil, nil
 	st.mu.Unlock()
 	_, err := st.answerer()
