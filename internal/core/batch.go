@@ -43,93 +43,95 @@ import (
 // workers drain quickly and the partial results are discarded. On success
 // results[i] is Answer(pd, queries[i]) for every i.
 func (s *Scheme) AnswerBatch(pd []byte, queries [][]byte, parallelism int) ([]bool, error) {
-	return answerPool(s.SchemeName, func(q []byte) (bool, error) {
+	return AnswerBatchPreparedContext(context.Background(), s.SchemeName, AnswererFunc(func(q []byte) (bool, error) {
 		return s.Answer(pd, q)
-	}, queries, parallelism)
+	}), queries, parallelism)
 }
 
-// AnswerBatchPrepared is AnswerBatch over a prepared Answerer: the same
-// worker pool, error policy, and query ordering, but every probe rides the
-// decoded in-memory form instead of re-reading pd. label names the scheme in
-// error messages, keeping them identical to the raw batch path's.
-func AnswerBatchPrepared(label string, a Answerer, queries [][]byte, parallelism int) ([]bool, error) {
-	return answerPool(label, a.Answer, queries, parallelism)
-}
-
-// AnswerBatchPreparedContext is AnswerBatchPrepared with cooperative
-// cancellation: ctx is consulted before every probe, so an expired
-// deadline abandons the rest of the batch promptly instead of paying
-// every remaining query. The batch fails with the usual error shape at
-// the lowest unanswered index, wrapping ctx.Err(). A context that can
-// never be cancelled degenerates to the plain prepared batch.
+// AnswerBatchPreparedContext is AnswerBatch over a prepared Answerer, with
+// cooperative cancellation: the same worker pool, error policy, and query
+// ordering, but every probe rides the decoded in-memory form instead of
+// re-reading pd, and ctx is consulted before every probe, so an expired
+// deadline abandons the rest of the batch promptly instead of paying every
+// remaining query. The batch fails with the usual error shape at the
+// lowest unanswered index, wrapping ctx.Err(). A context that can never be
+// cancelled costs no per-probe check. label names the scheme in error
+// messages, keeping them identical to the raw batch path's.
 func AnswerBatchPreparedContext(ctx context.Context, label string, a Answerer, queries [][]byte, parallelism int) ([]bool, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return AnswerBatchPrepared(label, a, queries, parallelism)
-	}
-	return answerPool(label, func(q []byte) (bool, error) {
-		if err := ctx.Err(); err != nil {
-			return false, err
+	cancellable := ctx != nil && ctx.Done() != nil
+	results := make([]bool, len(queries))
+	i, err := ForEach(len(queries), parallelism, func(i int) error {
+		if cancellable {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
-		return a.Answer(q)
-	}, queries, parallelism)
+		got, err := a.Answer(queries[i])
+		results[i] = got
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("scheme %s: batch query %d: %w", label, i, err)
+	}
+	return results, nil
 }
 
-// answerPool is the shared worker-pool core of AnswerBatch and
-// AnswerBatchPrepared.
-func answerPool(label string, answer func(q []byte) (bool, error), queries [][]byte, parallelism int) ([]bool, error) {
-	results := make([]bool, len(queries))
-	if len(queries) == 0 {
-		return results, nil
-	}
+// ForEach runs fn(i) for every i in [0, n) on a bounded worker pool and
+// reports the lowest failing index with its error (failedIdx is -1 on
+// success). parallelism bounds the workers; values <= 0 select
+// runtime.GOMAXPROCS(0), and a pool of one runs the plain sequential loop
+// on the calling goroutine.
+//
+// A failure stops workers from claiming further indices, but the ones
+// already claimed run to completion. Indices are claimed in increasing
+// order, so every index below a failure has run when the pool drains, and
+// the reported failure is the lowest failing index overall — the same one
+// the sequential loop would stop at, whatever the interleaving.
+func ForEach(n, parallelism int, fn func(i int) error) (failedIdx int, err error) {
 	if parallelism <= 0 {
 		parallelism = runtime.GOMAXPROCS(0)
 	}
-	if parallelism > len(queries) {
-		parallelism = len(queries)
+	if parallelism > n {
+		parallelism = n
 	}
-	if parallelism == 1 {
-		for i, q := range queries {
-			got, err := answer(q)
-			if err != nil {
-				return nil, fmt.Errorf("scheme %s: batch query %d: %w", label, i, err)
+	if parallelism <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return i, err
 			}
-			results[i] = got
 		}
-		return results, nil
+		return -1, nil
 	}
-
 	var (
 		next   atomic.Int64
 		failed atomic.Bool
 		wg     sync.WaitGroup
 	)
-	errs := make([]error, len(queries))
+	errs := make([]error, n)
 	wg.Add(parallelism)
 	for w := 0; w < parallelism; w++ {
 		go func() {
 			defer wg.Done()
 			for !failed.Load() {
 				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
+				if i >= n {
 					return
 				}
-				got, err := answer(queries[i])
-				if err != nil {
+				if err := fn(i); err != nil {
 					errs[i] = err
 					failed.Store(true)
 					return
 				}
-				results[i] = got
 			}
 		}()
 	}
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("scheme %s: batch query %d: %w", label, i, err)
+			return i, err
 		}
 	}
-	return results, nil
+	return -1, nil
 }
 
 // ApplyBatch is AnswerBatch for function schemes: it computes Apply for
@@ -137,55 +139,12 @@ func answerPool(label string, answer func(q []byte) (bool, error), queries [][]b
 // the same concurrency contract and error policy.
 func (s *FuncScheme) ApplyBatch(pd []byte, queries [][]byte, parallelism int) ([][]byte, error) {
 	results := make([][]byte, len(queries))
-	if len(queries) == 0 {
-		return results, nil
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	if parallelism > len(queries) {
-		parallelism = len(queries)
-	}
-	if parallelism == 1 {
-		for i, q := range queries {
-			out, err := s.Apply(pd, q)
-			if err != nil {
-				return nil, fmt.Errorf("func scheme %s: batch query %d: %w", s.SchemeName, i, err)
-			}
-			results[i] = out
-		}
-		return results, nil
-	}
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	errs := make([]error, len(queries))
-	wg.Add(parallelism)
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			defer wg.Done()
-			for !failed.Load() {
-				i := int(next.Add(1)) - 1
-				if i >= len(queries) {
-					return
-				}
-				out, err := s.Apply(pd, queries[i])
-				if err != nil {
-					errs[i] = err
-					failed.Store(true)
-					return
-				}
-				results[i] = out
-			}
-		}()
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("func scheme %s: batch query %d: %w", s.SchemeName, i, err)
-		}
+	i, err := ForEach(len(queries), parallelism, func(i int) (err error) {
+		results[i], err = s.Apply(pd, queries[i])
+		return err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("func scheme %s: batch query %d: %w", s.SchemeName, i, err)
 	}
 	return results, nil
 }

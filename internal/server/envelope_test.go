@@ -269,6 +269,12 @@ func TestEnvelopePerDatasetBackpressure(t *testing.T) {
 	srv.SetLimits(Limits{MaxInFlightPerDataset: 1})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
+	// Deferred after ts.Close, so it runs first: a failure before the gate
+	// opens must release the parked handler, or Close waits on it until the
+	// test binary times out.
+	var openGate sync.Once
+	release := func() { openGate.Do(func() { close(gate) }) }
+	defer release()
 	client := ts.Client()
 
 	for _, id := range []string{"hot", "cold"} {
@@ -279,14 +285,27 @@ func TestEnvelopePerDatasetBackpressure(t *testing.T) {
 		}
 	}
 
+	// Park one query inside hot's handler. The goroutine reports a
+	// transport failure with t.Errorf: t.Fatal must only run on the test
+	// goroutine.
 	var wg sync.WaitGroup
 	wg.Add(1)
+	parked, _ := json.Marshal(QueryRequest{Dataset: "hot", Query: []byte("block")})
 	go func() {
 		defer wg.Done()
-		postJSON(t, client, ts.URL+"/v1/query",
-			QueryRequest{Dataset: "hot", Query: []byte("block")}, nil)
+		resp, err := client.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(parked))
+		if err != nil {
+			t.Errorf("parked query: %v", err)
+			return
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
 	}()
-	<-entered
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the parked query did not reach the handler within 10s")
+	}
 
 	body, _ := json.Marshal(QueryRequest{Dataset: "hot", Query: []byte("go")})
 	resp, err := client.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
@@ -313,7 +332,7 @@ func TestEnvelopePerDatasetBackpressure(t *testing.T) {
 		t.Fatalf("cold dataset starved: status %d, want 200", code)
 	}
 
-	close(gate)
+	release()
 	wg.Wait()
 }
 

@@ -1024,71 +1024,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.decodeBody(w, r, &req) {
 		return
 	}
-	release, reason, admitted := s.env.admit(req.Dataset)
-	if !admitted {
-		s.env.reject429(w, r, reason)
-		return
-	}
-	defer release()
-	ds, ok := s.lookup(w, r, req.Dataset)
-	if !ok {
-		return
-	}
-	// The breaker is consulted only after a successful lookup, so hostile
-	// unknown ids can never grow the breaker map.
-	br := s.reg.Breaker(req.Dataset)
-	dec := br.Allow()
-	if !dec.Admit {
-		s.rejectBreaker(w, r, req.Dataset, dec.RetryAfter)
-		return
-	}
-	path := s.answerPath(ds)
-	if dec.Probe {
-		// Half-open probe: retry a previously failed Prepare first, so a
-		// healed filesystem (or a transient decode fault) closes the
-		// breaker. The retry's outcome surfaces through the answer below.
-		if pr, ok := path.(store.PrepareRetrier); ok {
-			pr.RetryPrepare()
-		}
-	}
-	// The version is read before the answer, so the verdict reflects this
-	// version or newer — reported versions are monotonic and never label an
-	// answer with a state it has not seen. The cache (when enabled) keys on
-	// its own admission-time version read, which obeys the same bound.
-	version := ds.Version()
-	start := time.Now()
 	var ans bool
-	var err error
-	degraded := false
-	if dd, ok := path.(store.DegradedDataset); dec.Degrade && ok && dd.CanDegrade() {
-		ans, err = dd.AnswerDegraded(req.Query)
-		degraded = err == nil
-	} else if dec.Degrade && !dec.ExactFallback {
-		// A probe is already in flight and this dataset declares no
-		// fallback: shedding is the only way to keep the half-open window
-		// single-probe.
-		s.rejectBreaker(w, r, req.Dataset, dec.RetryAfter)
-		return
-	} else {
-		ctx, cancel := s.queryContext(r)
-		defer cancel()
+	s.answer(w, r, req.Dataset, 1, func(ctx context.Context, path store.Dataset, dd store.DegradedDataset) (ndeg int, err error) {
+		if dd != nil {
+			ans, err = dd.AnswerDegraded(req.Query)
+			return 1, err
+		}
 		ans, err = store.AnswerWithin(ctx, path, req.Query)
-	}
-	served, failed := 1, 0
-	if err != nil {
-		served, failed = 0, 1 // match the batch path: failed queries count as failed, not served
-	}
-	s.record(ds.SchemeName(), served, failed, time.Since(start), err)
-	if err != nil {
-		s.answerFailure(w, r, br, dec.Probe, err)
-		return
-	}
-	br.OnSuccess(dec.Probe)
-	if degraded {
-		s.degradedAnswers.Add(1)
-		obsDegradedAnswers.Inc()
-	}
-	writeJSON(w, http.StatusOK, QueryResponse{Answer: ans, Version: version, Degraded: degraded})
+		return 0, err
+	}, func(version uint64, degraded bool) interface{} {
+		return QueryResponse{Answer: ans, Version: version, Degraded: degraded}
+	})
 }
 
 func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
@@ -1108,71 +1054,99 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 			"batch of %d queries exceeds the %d-query limit", len(req.Queries), max)
 		return
 	}
-	release, reason, admitted := s.env.admit(req.Dataset)
+	parallelism := req.Parallelism
+	if parallelism > maxBatchParallelism {
+		parallelism = maxBatchParallelism
+	}
+	var answers []bool
+	s.answer(w, r, req.Dataset, len(req.Queries), func(ctx context.Context, path store.Dataset, dd store.DegradedDataset) (ndeg int, err error) {
+		if dd != nil {
+			answers, err = dd.AnswerBatchDegraded(req.Queries, parallelism)
+			return len(req.Queries), err
+		}
+		// A batch that switched to the fallback mid-flight (budget nearly
+		// spent) is degraded as a whole — clients see one flag, not a
+		// per-verdict split, because every verdict is exact either way.
+		answers, ndeg, err = store.AnswerBatchWithin(ctx, path, req.Queries, parallelism)
+		return ndeg, err
+	}, func(version uint64, degraded bool) interface{} {
+		return BatchResponse{Answers: answers, Version: version, Degraded: degraded}
+	})
+}
+
+// answer is the lifecycle both answer endpoints share, around one call
+// that answers n queries: admission, lookup, the dataset's breaker (with
+// its half-open RetryPrepare), the exact / degraded / shed choice, the
+// version read, per-scheme accounting, and the success or failure
+// response. call answers through path under the query context — or, when
+// dd is non-nil, wholly through the dataset's declared fallback — and
+// reports how many queries took the fallback; respond renders the 200
+// body.
+func (s *Server) answer(w http.ResponseWriter, r *http.Request, dataset string, n int,
+	call func(ctx context.Context, path store.Dataset, dd store.DegradedDataset) (ndeg int, err error),
+	respond func(version uint64, degraded bool) interface{}) {
+	release, reason, admitted := s.env.admit(dataset)
 	if !admitted {
 		s.env.reject429(w, r, reason)
 		return
 	}
 	defer release()
-	ds, ok := s.lookup(w, r, req.Dataset)
+	ds, ok := s.lookup(w, r, dataset)
 	if !ok {
 		return
 	}
-	br := s.reg.Breaker(req.Dataset) // after lookup: see handleQuery
+	// The breaker is consulted only after a successful lookup, so hostile
+	// unknown ids can never grow the breaker map.
+	br := s.reg.Breaker(dataset)
 	dec := br.Allow()
 	if !dec.Admit {
-		s.rejectBreaker(w, r, req.Dataset, dec.RetryAfter)
+		s.rejectBreaker(w, r, dataset, dec.RetryAfter)
 		return
 	}
 	path := s.answerPath(ds)
 	if dec.Probe {
-		if pr, ok := path.(store.PrepareRetrier); ok {
-			pr.RetryPrepare() // see handleQuery
-		}
+		// Half-open probe: retry a previously failed Prepare first, so a
+		// healed filesystem (or a transient decode fault) closes the
+		// breaker. The retry's outcome surfaces through the answer below.
+		path.RetryPrepare()
 	}
-	parallelism := req.Parallelism
-	if parallelism > maxBatchParallelism {
-		parallelism = maxBatchParallelism
-	}
-	version := ds.Version() // before the batch: see handleQuery
-	start := time.Now()
-	var answers []bool
-	var err error
-	degraded := false
-	if dd, ok := path.(store.DegradedDataset); dec.Degrade && ok && dd.CanDegrade() {
-		answers, err = dd.AnswerBatchDegraded(req.Queries, parallelism)
-		degraded = err == nil && len(req.Queries) > 0
+	var dd store.DegradedDataset
+	if d, ok := path.(store.DegradedDataset); dec.Degrade && ok && d.CanDegrade() {
+		dd = d
 	} else if dec.Degrade && !dec.ExactFallback {
-		s.rejectBreaker(w, r, req.Dataset, dec.RetryAfter)
+		// A probe is already in flight and this dataset declares no
+		// fallback: shedding is the only way to keep the half-open window
+		// single-probe.
+		s.rejectBreaker(w, r, dataset, dec.RetryAfter)
 		return
-	} else {
-		ctx, cancel := s.queryContext(r)
-		defer cancel()
-		var ndeg int
-		answers, ndeg, err = store.AnswerBatchWithin(ctx, path, req.Queries, parallelism)
-		// A batch that switched to the fallback mid-flight (budget nearly
-		// spent) is degraded as a whole — clients see one flag, not a
-		// per-verdict split, because every verdict is exact either way.
-		degraded = err == nil && ndeg > 0
 	}
-	// Count only queries actually answered: AnswerBatch fails fast and
-	// returns no answers on error, so a failed batch must not inflate the
-	// served-query counter — the whole batch counts as failed instead.
-	failed := 0
+	// The version is read before the answer, so the verdict reflects this
+	// version or newer — reported versions are monotonic and never label an
+	// answer with a state it has not seen. The cache (when enabled) keys on
+	// its own admission-time version read, which obeys the same bound.
+	version := ds.Version()
+	start := time.Now()
+	ctx, cancel := s.queryContext(r)
+	defer cancel()
+	ndeg, err := call(ctx, path, dd)
+	// Answers fail fast and return no verdicts on error, so a failed call
+	// counts all n queries as failed and none as served.
+	served, failed := n, 0
 	if err != nil {
-		failed = len(req.Queries)
+		served, failed = 0, n
 	}
-	s.record(ds.SchemeName(), len(answers), failed, time.Since(start), err)
+	s.record(ds.SchemeName(), served, failed, time.Since(start), err)
 	if err != nil {
 		s.answerFailure(w, r, br, dec.Probe, err)
 		return
 	}
 	br.OnSuccess(dec.Probe)
+	degraded := ndeg > 0
 	if degraded {
 		s.degradedAnswers.Add(1)
 		obsDegradedAnswers.Inc()
 	}
-	writeJSON(w, http.StatusOK, BatchResponse{Answers: answers, Version: version, Degraded: degraded})
+	writeJSON(w, http.StatusOK, respond(version, degraded))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"pitract/internal/core"
@@ -433,18 +432,6 @@ func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte
 			perShard = 1
 		}
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
 	// verdicts[j][i] is shard i's verdict for fan-out query fanned[j]; the
 	// rows share one backing array.
 	verdicts := make([][]bool, len(fanned))
@@ -459,62 +446,54 @@ func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte
 	if len(fanned) > 0 {
 		fanStart = obs.Start()
 	}
-	for i := 0; i < n; i++ {
-		idxs := routed[i]
-		if len(idxs) == 0 && len(fanned) == 0 {
-			continue
+	// One worker per shard with work: a worker that claims an idle shard
+	// moves straight on, so every busy shard still runs concurrently. The
+	// lowest failing shard's error aborts the batch.
+	_, err := core.ForEach(n, max(active, 1), func(i int) error {
+		// Routed queries travel unchanged.
+		if idxs := routed[i]; len(idxs) > 0 {
+			batch := make([][]byte, len(idxs))
+			for k, qi := range idxs {
+				batch[k] = queries[qi]
+			}
+			ans, err := ss.Stores[i].AnswerBatchContext(ctx, batch, perShard)
+			if err != nil {
+				return err
+			}
+			for k, qi := range idxs {
+				results[qi] = ans[k]
+			}
 		}
-		wg.Add(1)
-		go func(i int, idxs []int) {
-			defer wg.Done()
-			// Routed queries travel unchanged.
-			if len(idxs) > 0 {
-				batch := make([][]byte, len(idxs))
-				for k, qi := range idxs {
-					batch[k] = queries[qi]
+		// Fan-out queries are rewritten for this shard; dropped ones
+		// keep their false verdict.
+		if len(fanned) > 0 {
+			var batch [][]byte
+			var owners []int // j index into fanned/verdicts
+			for j, qi := range fanned {
+				local, keep, err := ss.fanout(queries[qi], i, sv)
+				if err != nil {
+					return fmt.Errorf("shard: batch query %d: %w", qi, err)
 				}
+				if keep {
+					batch = append(batch, local)
+					owners = append(owners, j)
+				}
+			}
+			if len(batch) > 0 {
 				ans, err := ss.Stores[i].AnswerBatchContext(ctx, batch, perShard)
 				if err != nil {
-					fail(err)
-					return
+					return err
 				}
-				for k, qi := range idxs {
-					results[qi] = ans[k]
-				}
-			}
-			// Fan-out queries are rewritten for this shard; dropped ones
-			// keep their false verdict.
-			if len(fanned) > 0 {
-				var batch [][]byte
-				var owners []int // j index into fanned/verdicts
-				for j, qi := range fanned {
-					local, keep, err := ss.fanout(queries[qi], i, sv)
-					if err != nil {
-						fail(fmt.Errorf("shard: batch query %d: %w", qi, err))
-						return
-					}
-					if keep {
-						batch = append(batch, local)
-						owners = append(owners, j)
-					}
-				}
-				if len(batch) > 0 {
-					ans, err := ss.Stores[i].AnswerBatchContext(ctx, batch, perShard)
-					if err != nil {
-						fail(err)
-						return
-					}
-					for k, j := range owners {
-						verdicts[j][i] = ans[k]
-					}
+				for k, j := range owners {
+					verdicts[j][i] = ans[k]
 				}
 			}
-		}(i, idxs)
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 	obsShardFanout.Since(fanStart)
-	if firstErr != nil {
-		return nil, firstErr
+	if err != nil {
+		return nil, err
 	}
 	if len(fanned) > 0 {
 		mergeStart := obs.Start()
@@ -523,47 +502,18 @@ func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte
 		// own bounded pool instead of serializing on the calling goroutine;
 		// the first failing merge (lowest query index) aborts the batch,
 		// matching core.Scheme.AnswerBatch.
-		workers := parallelism
-		if workers > len(fanned) {
-			workers = len(fanned)
-		}
 		probe := ss.probe
-		var (
-			next   atomic.Int64
-			failed atomic.Bool
-			mwg    sync.WaitGroup
-		)
-		mergeErrs := make([]error, len(fanned))
-		mwg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer mwg.Done()
-				for !failed.Load() {
-					j := int(next.Add(1)) - 1
-					if j >= len(fanned) {
-						return
-					}
-					if err := ctx.Err(); err != nil {
-						mergeErrs[j] = err
-						failed.Store(true)
-						return
-					}
-					got, err := ss.merge(queries[fanned[j]], verdicts[j], sv, probe)
-					if err != nil {
-						mergeErrs[j] = err
-						failed.Store(true)
-						return
-					}
-					results[fanned[j]] = got
-				}
-			}()
-		}
-		mwg.Wait()
-		obsShardMerge.Since(mergeStart)
-		for j, err := range mergeErrs {
-			if err != nil {
-				return nil, fmt.Errorf("shard: batch query %d: %w", fanned[j], err)
+		j, err := core.ForEach(len(fanned), parallelism, func(j int) error {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
+			got, err := ss.merge(queries[fanned[j]], verdicts[j], sv, probe)
+			results[fanned[j]] = got
+			return err
+		})
+		obsShardMerge.Since(mergeStart)
+		if err != nil {
+			return nil, fmt.Errorf("shard: batch query %d: %w", fanned[j], err)
 		}
 	}
 	return results, nil

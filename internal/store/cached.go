@@ -46,7 +46,17 @@ func NewCachedDataset(ds Dataset, c *cache.Cache) Dataset {
 // runs the underlying answer once, with concurrent callers of the same key
 // coalesced onto that one run (singleflight).
 func (cd *cachedDataset) Answer(q []byte) (bool, error) {
-	return cd.do(q, func() (bool, error) { return cd.Dataset.Answer(q) })
+	return cd.AnswerContext(context.Background(), q)
+}
+
+// AnswerContext implements ContextAnswerer: the cache is still
+// consulted (hits beat deadlines for free); a cold key runs the
+// underlying context-aware path so an expired budget aborts the probe.
+func (cd *cachedDataset) AnswerContext(ctx context.Context, q []byte) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err
+	}
+	return cd.do(q, func() (bool, error) { return cd.Dataset.AnswerContext(ctx, q) })
 }
 
 // do serves q through the cache, running answer on a miss, and records the
@@ -73,10 +83,20 @@ func (cd *cachedDataset) do(q []byte, answer func() (bool, error)) (bool, error)
 }
 
 // AnswerBatch implements Dataset: cached verdicts are filled in directly
-// and only the misses ride the underlying AnswerBatch worker pool (then
+// and only the misses ride the underlying batch worker pool (then
 // populate the cache). The whole batch is keyed at one admission version.
 // Misses are answered as one sub-batch rather than coalesced per key.
 func (cd *cachedDataset) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
+	return cd.AnswerBatchContext(context.Background(), queries, parallelism)
+}
+
+// AnswerBatchContext implements ContextAnswerer: the misses (and either
+// whole-batch re-run) ride the underlying context-aware batch, so a batch
+// abandoned at its deadline stops probing instead of answering every miss.
+func (cd *cachedDataset) AnswerBatchContext(ctx context.Context, queries [][]byte, parallelism int) ([]bool, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	id := cd.Dataset.DatasetID()
 	version := cd.Dataset.Version()
 	results := make([]bool, len(queries))
@@ -93,7 +113,7 @@ func (cd *cachedDataset) AnswerBatch(queries [][]byte, parallelism int) ([]bool,
 	var answers []bool
 	if len(missIdx) > 0 {
 		var err error
-		answers, err = cd.Dataset.AnswerBatch(missQueries, parallelism)
+		answers, err = cd.Dataset.AnswerBatchContext(ctx, missQueries, parallelism)
 		if err != nil {
 			// The sub-batch error names the failing query's index *within
 			// the misses*, which would be wrong (and cache-state-dependent)
@@ -101,7 +121,7 @@ func (cd *cachedDataset) AnswerBatch(queries [][]byte, parallelism int) ([]bool,
 			// re-run the full original batch: same deterministic failure,
 			// and the error carries the caller's own lowest failing index —
 			// identical bytes to what the uncached path reports.
-			return cd.Dataset.AnswerBatch(queries, parallelism)
+			return cd.Dataset.AnswerBatchContext(ctx, queries, parallelism)
 		}
 	}
 	if cd.Dataset.Version() != version {
@@ -115,37 +135,13 @@ func (cd *cachedDataset) AnswerBatch(queries [][]byte, parallelism int) ([]bool,
 		// back to one uncached batch — which answers against a single Π,
 		// preserving the batch consistency contract the uncached path
 		// documents. This guards the all-hit path too, not just misses.
-		return cd.Dataset.AnswerBatch(queries, parallelism)
+		return cd.Dataset.AnswerBatchContext(ctx, queries, parallelism)
 	}
 	for k, i := range missIdx {
 		results[i] = answers[k]
 		cd.c.Put(id, version, queries[i], answers[k])
 	}
 	return results, nil
-}
-
-// AnswerContext implements ContextAnswerer: the cache is still
-// consulted (hits beat deadlines for free); a cold key runs the
-// underlying context-aware path so an expired budget aborts the probe.
-func (cd *cachedDataset) AnswerContext(ctx context.Context, q []byte) (bool, error) {
-	ca, ok := cd.Dataset.(ContextAnswerer)
-	if !ok {
-		return cd.Answer(q)
-	}
-	if err := ctx.Err(); err != nil {
-		return false, err
-	}
-	return cd.do(q, func() (bool, error) { return ca.AnswerContext(ctx, q) })
-}
-
-// AnswerBatchContext implements ContextAnswerer with entry-point
-// cancellation; mid-batch expiry is handled by the hard deadline guard
-// (AnswerBatchWithin), which abandons the batch and drops its result.
-func (cd *cachedDataset) AnswerBatchContext(ctx context.Context, queries [][]byte, parallelism int) ([]bool, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return cd.AnswerBatch(queries, parallelism)
 }
 
 // CanDegrade implements DegradedDataset by delegation.
@@ -177,13 +173,4 @@ func (cd *cachedDataset) AnswerBatchDegraded(queries [][]byte, parallelism int) 
 		return nil, fmt.Errorf("store: dataset %q declares no degraded fallback", cd.Dataset.DatasetID())
 	}
 	return dd.AnswerBatchDegraded(queries, parallelism)
-}
-
-// RetryPrepare implements PrepareRetrier by delegation (a no-op for
-// datasets that cannot rebuild their prepared form).
-func (cd *cachedDataset) RetryPrepare() error {
-	if pr, ok := cd.Dataset.(PrepareRetrier); ok {
-		return pr.RetryPrepare()
-	}
-	return nil
 }

@@ -46,6 +46,13 @@ func (d *scriptedDataset) AnswerBatch(queries [][]byte, parallelism int) ([]bool
 	}
 	return out, nil
 }
+func (d *scriptedDataset) AnswerContext(ctx context.Context, q []byte) (bool, error) {
+	return d.Answer(q)
+}
+func (d *scriptedDataset) AnswerBatchContext(ctx context.Context, queries [][]byte, parallelism int) ([]bool, error) {
+	return d.AnswerBatch(queries, parallelism)
+}
+func (d *scriptedDataset) RetryPrepare() error { return nil }
 
 // TestCachedBatchConsistentAcrossMidBatchCommit pins the batch
 // consistency contract: when a delta commits between cache admission and

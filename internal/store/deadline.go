@@ -1,12 +1,12 @@
 package store
 
 // Query deadlines: AnswerWithin / AnswerBatchWithin bound how long a
-// single answer or batch may hold the serving path. Datasets that
-// implement ContextAnswerer are cancelled cooperatively (the context is
-// checked before every probe); any dataset is additionally bounded by a
-// hard guard that abandons the worker goroutine at the deadline — the
-// result is dropped and the HTTP layer answers 504 immediately, so an
-// expired request is never left holding an envelope slot.
+// single answer or batch may hold the serving path. Every Dataset is
+// cancelled cooperatively through its ContextAnswerer half (the context is
+// checked before every probe), and is additionally bounded by a hard guard
+// that abandons the worker goroutine at the deadline — the result is
+// dropped and the HTTP layer answers 504 immediately, so an expired
+// request is never left holding an envelope slot.
 
 import (
 	"context"
@@ -30,8 +30,9 @@ func (e *DeadlineError) Error() string {
 
 func (e *DeadlineError) Unwrap() error { return e.Err }
 
-// ContextAnswerer is implemented by datasets that can be cancelled
-// cooperatively mid-answer (Store, ShardedStore, and the cache wrapper).
+// ContextAnswerer is the cancellable half of Dataset: every dataset
+// (Store, ShardedStore, and the cache wrapper) can be cancelled
+// cooperatively mid-answer.
 type ContextAnswerer interface {
 	AnswerContext(ctx context.Context, q []byte) (bool, error)
 	AnswerBatchContext(ctx context.Context, queries [][]byte, parallelism int) ([]bool, error)
@@ -54,9 +55,9 @@ type DegradableBatcher interface {
 	AnswerBatchDegradable(ctx context.Context, queries [][]byte, parallelism int) ([]bool, int, error)
 }
 
-// PrepareRetrier is implemented by datasets that can drop a cached
-// (possibly failed) prepared answerer and rebuild it — the hook a
-// breaker's half-open probe uses to retry a transient Prepare failure.
+// PrepareRetrier is the heal half of Dataset: drop a cached (possibly
+// failed) prepared answerer and rebuild it — the hook a breaker's
+// half-open probe uses to retry a transient Prepare failure.
 type PrepareRetrier interface {
 	RetryPrepare() error
 }
@@ -106,11 +107,7 @@ func AnswerWithin(ctx context.Context, ds Dataset, q []byte) (bool, error) {
 	}
 	res := guard(ctx, "answer", ds.DatasetID(), func() answerResult {
 		var r answerResult
-		if ca, ok := ds.(ContextAnswerer); ok {
-			r.ans, r.err = ca.AnswerContext(ctx, q)
-		} else {
-			r.ans, r.err = ds.Answer(q)
-		}
+		r.ans, r.err = ds.AnswerContext(ctx, q)
 		return r
 	})
 	return res.ans, res.err
@@ -130,13 +127,10 @@ func AnswerBatchWithin(ctx context.Context, ds Dataset, queries [][]byte, parall
 	}
 	res := guard(ctx, "batch", ds.DatasetID(), func() answerResult {
 		var r answerResult
-		switch d := ds.(type) {
-		case DegradableBatcher:
+		if d, ok := ds.(DegradableBatcher); ok {
 			r.answers, r.degraded, r.err = d.AnswerBatchDegradable(ctx, queries, parallelism)
-		case ContextAnswerer:
-			r.answers, r.err = d.AnswerBatchContext(ctx, queries, parallelism)
-		default:
-			r.answers, r.err = ds.AnswerBatch(queries, parallelism)
+		} else {
+			r.answers, r.err = ds.AnswerBatchContext(ctx, queries, parallelism)
 		}
 		return r
 	})

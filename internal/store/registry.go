@@ -71,6 +71,12 @@ type Dataset interface {
 	// AnswerBatch answers queries concurrently through worker pools;
 	// parallelism <= 0 selects GOMAXPROCS.
 	AnswerBatch(queries [][]byte, parallelism int) ([]bool, error)
+	// ContextAnswerer is the same pair under a context that cancels the
+	// answer cooperatively (AnswerWithin / AnswerBatchWithin).
+	ContextAnswerer
+	// PrepareRetrier rebuilds the prepared answerer: the heal hook of a
+	// health breaker's half-open probe.
+	PrepareRetrier
 }
 
 // DeltaDataset is the registry's mutation seam: datasets that can maintain

@@ -684,18 +684,7 @@ func (st *Store) Answer(q []byte) (bool, error) {
 // against one consistent Π — the prepared form is snapshot once up front,
 // even if a delta commits mid-batch.
 func (st *Store) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
-	if len(queries) == 0 {
-		// The raw batch path returns no error on an empty batch even over
-		// a corrupt Π (it never calls Answer); match it.
-		return []bool{}, nil
-	}
-	a, err := st.answerer()
-	if err != nil {
-		// A corrupt Π fails the raw path at its first query; report the
-		// sticky Prepare error in exactly that shape.
-		return nil, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
-	}
-	return core.AnswerBatchPrepared(st.Scheme.Name(), a, queries, parallelism)
+	return st.batch(context.Background(), st.answerer, queries, parallelism)
 }
 
 // AnswerContext implements ContextAnswerer: Answer with a cancellation
@@ -712,11 +701,22 @@ func (st *Store) AnswerContext(ctx context.Context, q []byte) (bool, error) {
 // context consulted before every probe, so an expired deadline abandons
 // the remainder of the batch instead of paying it.
 func (st *Store) AnswerBatchContext(ctx context.Context, queries [][]byte, parallelism int) ([]bool, error) {
+	return st.batch(ctx, st.answerer, queries, parallelism)
+}
+
+// batch is the one body behind every batch answer path: pick supplies the
+// answerer (exact, fallback, or the degradable mix), which answers the
+// whole batch on the core worker pool under ctx.
+func (st *Store) batch(ctx context.Context, pick func() (core.Answerer, error), queries [][]byte, parallelism int) ([]bool, error) {
 	if len(queries) == 0 {
+		// The raw batch path returns no error on an empty batch even over
+		// a corrupt Π (it never calls Answer); match it.
 		return []bool{}, nil
 	}
-	a, err := st.answerer()
+	a, err := pick()
 	if err != nil {
+		// A corrupt Π fails the raw path at its first query; report the
+		// sticky Prepare error in exactly that shape.
 		return nil, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
 	}
 	return core.AnswerBatchPreparedContext(ctx, st.Scheme.Name(), a, queries, parallelism)
@@ -762,14 +762,7 @@ func (st *Store) AnswerDegraded(q []byte) (bool, error) {
 // AnswerBatchDegraded implements DegradedDataset: a whole batch through
 // the fallback, with the usual batch error shape.
 func (st *Store) AnswerBatchDegraded(queries [][]byte, parallelism int) ([]bool, error) {
-	if len(queries) == 0 {
-		return []bool{}, nil
-	}
-	fb, err := st.fallbackAnswerer()
-	if err != nil {
-		return nil, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
-	}
-	return core.AnswerBatchPrepared(st.Scheme.Name(), fb, queries, parallelism)
+	return st.batch(context.Background(), st.fallbackAnswerer, queries, parallelism)
 }
 
 // AnswerBatchDegradable implements DegradableBatcher: the batch starts
@@ -783,29 +776,27 @@ func (st *Store) AnswerBatchDegradable(ctx context.Context, queries [][]byte, pa
 		ans, err := st.AnswerBatchContext(ctx, queries, parallelism)
 		return ans, 0, err
 	}
-	if len(queries) == 0 {
-		return []bool{}, 0, nil
-	}
-	a, err := st.answerer()
-	if err != nil {
-		return nil, 0, fmt.Errorf("scheme %s: batch query %d: %w", st.Scheme.Name(), 0, err)
-	}
-	start := time.Now()
 	var degraded atomic.Int64
-	var fbOnce sync.Once
-	var fb core.Answerer
-	var fbErr error
-	wrapped := core.AnswererFunc(func(q []byte) (bool, error) {
-		if budgetLow(start, deadline) {
-			fbOnce.Do(func() { fb, fbErr = st.fallbackAnswerer() })
-			if fbErr == nil && fb != nil {
-				degraded.Add(1)
-				return fb.Answer(q)
-			}
+	ans, err := st.batch(ctx, func() (core.Answerer, error) {
+		a, err := st.answerer()
+		if err != nil {
+			return nil, err
 		}
-		return a.Answer(q)
-	})
-	ans, err := core.AnswerBatchPreparedContext(ctx, st.Scheme.Name(), wrapped, queries, parallelism)
+		start := time.Now()
+		var fbOnce sync.Once
+		var fb core.Answerer
+		var fbErr error
+		return core.AnswererFunc(func(q []byte) (bool, error) {
+			if budgetLow(start, deadline) {
+				fbOnce.Do(func() { fb, fbErr = st.fallbackAnswerer() })
+				if fbErr == nil && fb != nil {
+					degraded.Add(1)
+					return fb.Answer(q)
+				}
+			}
+			return a.Answer(q)
+		}), nil
+	}, queries, parallelism)
 	return ans, int(degraded.Load()), err
 }
 

@@ -301,7 +301,8 @@ type (
 	// StorePrepareError wraps a failed prepared-answerer build (a
 	// scheme's Prepare failing on its Π) so serving layers can classify
 	// it as a dataset-health failure; the message bytes are the
-	// underlying error's, unchanged. Store.RetryPrepare clears it.
+	// underlying error's, unchanged. Dataset.RetryPrepare (the breaker's
+	// half-open heal hook, on every dataset) clears it.
 	StorePrepareError = store.PrepareError
 	// StoreCorruptArtifactError wraps a snapshot or delta-log read that
 	// failed integrity or decode checks — the trigger for quarantine
@@ -445,7 +446,9 @@ var (
 type (
 	// Dataset is the registry's answer-path interface: a plain Store or a
 	// ShardedStore, served identically (see StoreRegistry.GetDataset and
-	// the HTTP server's query paths).
+	// the HTTP server's query paths). It includes cooperative
+	// cancellation (AnswerContext, AnswerBatchContext — what AnswerWithin
+	// drives) and the Prepare heal hook (RetryPrepare).
 	Dataset = store.Dataset
 	// DeltaDataset is the registry's mutation seam: datasets that maintain
 	// Π(D ⊕ ∆D) in place under StoreRegistry.ApplyDelta (and the server's
