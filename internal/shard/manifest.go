@@ -14,16 +14,16 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"net/url"
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 
 	"pitract/internal/core"
-	"pitract/internal/obs"
 	"pitract/internal/store"
 )
 
@@ -233,79 +233,48 @@ func sweepShardGenerations(fsys store.FS, dir, id string, keep uint64) {
 	}
 }
 
-// writeShardGeneration persists one complete generation: every shard
-// snapshot encoding first (atomic each, at the manifest's generation), the
-// manifest last (atomic) — the commit point, so the manifest only ever
-// names files that are fully on disk. On failure the written shard files
-// are best-effort removed; without a manifest naming them they are dead
-// weight, not a visible dataset.
-func writeShardGeneration(fsys store.FS, dir, id string, m *Manifest, encs [][]byte) error {
-	m.ShardSums = make([][sha256.Size]byte, len(encs))
-	written := make([]string, 0, len(encs))
-	cleanup := func() {
-		for _, p := range written {
-			fsys.Remove(p)
-		}
-	}
-	for i, enc := range encs {
-		m.ShardSums[i] = sha256.Sum256(enc)
-		path := shardSnapshotPathGen(dir, id, i, m.Version)
-		if err := store.WriteFileAtomicFS(fsys, path, enc); err != nil {
-			cleanup()
-			return fmt.Errorf("shard: save %q: %w", id, err)
-		}
-		written = append(written, path)
-	}
-	if err := store.WriteFileAtomicFS(fsys, ManifestPath(dir, id), EncodeManifest(m)); err != nil {
-		cleanup()
-		return fmt.Errorf("shard: save %q: %w", id, err)
-	}
-	return nil
-}
-
-// SaveSharded persists a sharded store under dir on the real disk (see
-// writeShardGeneration for the commit discipline).
-func SaveSharded(dir, id string, ss *ShardedStore, partitioner string) error {
-	return SaveShardedFS(store.OSFS, dir, id, ss, partitioner)
-}
-
-// SaveShardedFS is SaveSharded on an explicit file layer.
-func SaveShardedFS(fsys store.FS, dir, id string, ss *ShardedStore, partitioner string) error {
-	m := &Manifest{
-		SchemeName:  ss.Scheme.Name(),
-		DataSum:     ss.DataSum,
-		Partitioner: partitioner,
-		Assignment:  ss.Asn.Encode(),
-		Summary:     ss.Summary,
-		Version:     ss.Version(),
-	}
-	encs := make([][]byte, len(ss.Stores))
-	for i, st := range ss.Stores {
-		encs[i] = store.EncodeSnapshot(st.Snapshot())
-	}
-	return writeShardGeneration(fsys, dir, id, m, encs)
-}
-
-// saveMaintainedStaged persists the staged (pending) maintenance state as
-// generation newVersion, leaving the previous generation intact until the
-// manifest rename commits the new one. Called by ApplyDeltas under the
-// maintenance mutex, before the in-memory commit.
-func (ss *ShardedStore) saveMaintainedStaged(fsys store.FS, dir string, pending [][]byte, summary []byte, newVersion uint64) error {
+// saveGeneration persists one complete generation: the per-shard Π
+// strings preps and the cross-shard summary at maintenance version
+// version. Every shard snapshot is written first (atomic each, at the
+// manifest's generation), the manifest last (atomic) — the commit point,
+// so the manifest only ever names files that are fully on disk. On failure
+// the written shard files are best-effort removed; without a manifest
+// naming them they are dead weight, not a visible dataset. After the
+// commit every other generation is swept.
+func (ss *ShardedStore) saveGeneration(fsys store.FS, dir string, preps [][]byte, summary []byte, version uint64) error {
 	m := &Manifest{
 		SchemeName:  ss.Scheme.Name(),
 		DataSum:     ss.DataSum,
 		Partitioner: ss.Partitioner,
 		Assignment:  ss.Asn.Encode(),
 		Summary:     summary,
-		Version:     newVersion,
+		Version:     version,
+		ShardSums:   make([][sha256.Size]byte, len(preps)),
 	}
-	encs := make([][]byte, len(pending))
-	for i, prep := range pending {
+	written := make([]string, 0, len(preps))
+	cleanup := func() {
+		for _, p := range written {
+			fsys.Remove(p)
+		}
+	}
+	for i, prep := range preps {
 		snap := ss.Stores[i].Snapshot()
-		snap.Prep, snap.Version = prep, newVersion
-		encs[i] = store.EncodeSnapshot(snap)
+		snap.Prep, snap.Version = prep, version
+		enc := store.EncodeSnapshot(snap)
+		m.ShardSums[i] = sha256.Sum256(enc)
+		path := shardSnapshotPathGen(dir, ss.ID, i, version)
+		if err := store.WriteFileAtomicFS(fsys, path, enc); err != nil {
+			cleanup()
+			return fmt.Errorf("shard: save %q: %w", ss.ID, err)
+		}
+		written = append(written, path)
 	}
-	return writeShardGeneration(fsys, dir, ss.ID, m, encs)
+	if err := store.WriteFileAtomicFS(fsys, ManifestPath(dir, ss.ID), EncodeManifest(m)); err != nil {
+		cleanup()
+		return fmt.Errorf("shard: save %q: %w", ss.ID, err)
+	}
+	sweepShardGenerations(fsys, dir, ss.ID, version)
+	return nil
 }
 
 // LoadSharded reopens a persisted sharded dataset: read and validate the
@@ -313,20 +282,27 @@ func (ss *ShardedStore) saveMaintainedStaged(fsys store.FS, dir string, pending 
 // decode each, and reassemble the sharded store. A missing or corrupt
 // manifest, a missing or corrupt shard file, a digest mismatch, or a
 // scheme-name mismatch each fail with a clean error — never a panic and
-// never a store quietly missing shards.
+// never a store quietly missing shards. Structural damage is a
+// *store.CorruptArtifactError naming the file to quarantine: the manifest
+// when it fails to decode or names a shard file that is not on disk, the
+// shard file when it fails its digest or its decode.
 func LoadSharded(dir, id string, scheme *core.Scheme) (*ShardedStore, error) {
 	return LoadShardedFS(store.OSFS, dir, id, scheme)
 }
 
 // LoadShardedFS is LoadSharded on an explicit file layer.
 func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*ShardedStore, error) {
-	mb, err := fsys.ReadFile(ManifestPath(dir, id))
+	mpath := ManifestPath(dir, id)
+	corrupt := func(path string, err error) error {
+		return &store.CorruptArtifactError{Path: path, Err: fmt.Errorf("shard: open %q: %w", id, err)}
+	}
+	mb, err := fsys.ReadFile(mpath)
 	if err != nil {
 		return nil, fmt.Errorf("shard: open %q: %w", id, err)
 	}
 	m, err := DecodeManifest(mb)
 	if err != nil {
-		return nil, fmt.Errorf("shard: open %q: %w", id, err)
+		return nil, corrupt(mpath, err)
 	}
 	if m.SchemeName != scheme.Name() {
 		return nil, fmt.Errorf("shard: open %q: manifest scheme %s, want %s", id, m.SchemeName, scheme.Name())
@@ -337,11 +313,10 @@ func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*Sharded
 	}
 	asn, err := DecodeAssignment(m.Assignment)
 	if err != nil {
-		return nil, fmt.Errorf("shard: open %q: %w", id, err)
+		return nil, corrupt(mpath, err)
 	}
 	if asn.Shards() != len(m.ShardSums) {
-		return nil, fmt.Errorf("shard: open %q: assignment has %d shards, manifest %d",
-			id, asn.Shards(), len(m.ShardSums))
+		return nil, corrupt(mpath, fmt.Errorf("assignment has %d shards, manifest %d", asn.Shards(), len(m.ShardSums)))
 	}
 	ss := &ShardedStore{
 		ID:          id,
@@ -353,22 +328,25 @@ func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*Sharded
 		DataSum:     m.DataSum,
 		Loaded:      true,
 		Partitioner: m.Partitioner,
+		version:     m.Version,
 	}
-	ss.SetVersion(m.Version)
 	for i, want := range m.ShardSums {
 		// The manifest names its own generation of shard files, so a load
 		// can never mix pre- and post-maintenance artifacts.
 		path := shardSnapshotPathGen(dir, id, i, m.Version)
 		enc, err := fsys.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, corrupt(mpath, fmt.Errorf("shard %d: %w", i, err))
+		}
 		if err != nil {
 			return nil, fmt.Errorf("shard: open %q: shard %d: %w", id, i, err)
 		}
 		if got := sha256.Sum256(enc); got != want {
-			return nil, fmt.Errorf("shard: open %q: shard %d snapshot %s fails its manifest SHA-256", id, i, path)
+			return nil, corrupt(path, fmt.Errorf("shard %d snapshot %s fails its manifest SHA-256", i, path))
 		}
 		snap, err := store.DecodeSnapshot(enc)
 		if err != nil {
-			return nil, fmt.Errorf("shard: open %q: shard %d: %w", id, i, err)
+			return nil, corrupt(path, fmt.Errorf("shard %d: %w", i, err))
 		}
 		if snap.SchemeName != scheme.Name() {
 			return nil, fmt.Errorf("shard: open %q: shard %d preprocessed by %s, want %s",
@@ -383,17 +361,6 @@ func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*Sharded
 		}
 		ss.Stores[i].SetVersion(snap.Version)
 	}
-	// Warm the per-shard prepared answerers concurrently, as Build does —
-	// a serial warm-up would add n decode latencies to the restart path.
-	var wg sync.WaitGroup
-	for _, st := range ss.Stores {
-		wg.Add(1)
-		go func(st *store.Store) {
-			defer wg.Done()
-			st.Warm()
-		}(st)
-	}
-	wg.Wait()
 	return ss, nil
 }
 
@@ -454,42 +421,33 @@ func RegisterShardedContext(ctx context.Context, r *store.Registry, id string, s
 			return nil
 		},
 		func() (store.Dataset, error) {
-			med := r.Medium()
-			if med.Persistent() {
-				ss, err := LoadShardedFS(med.Files(), med.Path(), id, scheme)
-				if err == nil && ss.DataSum == sum && ss.ShardCount() == n && ss.Partitioner == p.Name() {
-					for range ss.Stores {
-						r.NoteLoad()
-					}
-					// A crash between a durable log append and the generation
-					// checkpoint leaves acknowledged batches only in the log:
-					// replay them so the restart resumes at the exact applied
-					// version, just like a plain store.
-					if err := replayShardedLog(r, med, ss); err != nil {
-						return nil, fmt.Errorf("shard: register %q: %w", id, err)
+			return r.LoadOrBuild(id, store.Artifact{
+				Load: func(fsys store.FS, dir string) (store.Dataset, error) {
+					ss, err := LoadShardedFS(fsys, dir, id, scheme)
+					if err != nil || ss.DataSum != sum || ss.ShardCount() != n || ss.Partitioner != p.Name() {
+						return nil, err
 					}
 					return ss, nil
-				}
-			}
-			ss, err := Build(id, scheme, sh, p, n, data)
-			if err != nil {
-				return nil, err
-			}
-			ss.Partitioner = p.Name()
-			for range ss.Stores {
-				r.NotePreprocess()
-			}
-			if med.Persistent() {
-				if err := SaveShardedFS(med.Files(), med.Path(), id, ss, p.Name()); err != nil {
-					return nil, err
-				}
-				// A fresh build supersedes any delta log a previous
-				// incarnation of this ID left behind.
-				if err := store.RemoveLog(med.Files(), store.LogPath(med.Path(), id)); err != nil {
-					return nil, err
-				}
-			}
-			return ss, nil
+				},
+				Build: func() (store.Dataset, error) {
+					ss, err := Build(id, scheme, sh, p, n, data)
+					if err != nil {
+						return nil, err
+					}
+					ss.Partitioner = p.Name()
+					return ss, nil
+				},
+				// Save checkpoints a fresh build or a replayed log; the dataset
+				// is not yet published, so its state cannot move underneath.
+				Save: func(fsys store.FS, dir string, ds store.Dataset) error {
+					ss := ds.(*ShardedStore)
+					preps := make([][]byte, len(ss.Stores))
+					for i, st := range ss.Stores {
+						preps[i], _ = st.View()
+					}
+					return ss.saveGeneration(fsys, dir, preps, ss.Summary, ss.Version())
+				},
+			})
 		})
 	if err != nil {
 		return nil, err
@@ -499,62 +457,4 @@ func RegisterShardedContext(ctx context.Context, r *store.Registry, id string, s
 		return nil, fmt.Errorf("shard: dataset %q is not a sharded store", id)
 	}
 	return ss, nil
-}
-
-// replayShardedLog applies the delta-log tail to a manifest-loaded sharded
-// store — the sharded twin of the registry's plain-store replay, with the
-// same alignment rules: records wholly inside the loaded generation skip,
-// the record starting exactly at the loaded version applies (memory-only —
-// the log already holds it durably), and a gap or straddle means an
-// acknowledged batch vanished and errors. A non-empty replay is folded
-// into a fresh generation checkpoint; a failed checkpoint is not fatal —
-// the log stays authoritative and the next restart replays again.
-func replayShardedLog(r *store.Registry, med *store.Medium, ss *ShardedStore) error {
-	fsys := med.Files()
-	logPath := store.LogPath(med.Path(), ss.ID)
-	records, err := store.ReadLog(fsys, logPath)
-	if err != nil {
-		return err
-	}
-	if len(records) == 0 {
-		return nil
-	}
-	inc := r.IncrementalFor(ss.Scheme.Name())
-	replayStart := obs.Start()
-	replayed := 0
-	for i, rec := range records {
-		v := ss.Version()
-		end := rec.FromVersion + uint64(len(rec.Deltas))
-		if end <= v {
-			continue // fully inside the checkpointed generation
-		}
-		if rec.FromVersion != v {
-			return fmt.Errorf("replay log %s: record %d covers versions [%d,%d) but the manifest is at %d — an acknowledged batch is missing",
-				logPath, i, rec.FromVersion, end, v)
-		}
-		if inc == nil {
-			return fmt.Errorf("replay log %s: scheme %s has no incremental form to replay %d logged deltas",
-				logPath, ss.Scheme.Name(), len(rec.Deltas))
-		}
-		if _, err := ss.ApplyDeltas(context.Background(), inc, rec.Deltas, nil); err != nil {
-			return fmt.Errorf("replay log %s: record %d: %w", logPath, i, err)
-		}
-		replayed++
-		r.NoteReplay()
-	}
-	obsLogReplay.Since(replayStart)
-	// Fold the replayed state into a checkpoint (or drop a log that was
-	// entirely stale). Save-then-remove: losing the log before a generation
-	// holds its records would lose acknowledged batches.
-	if replayed > 0 {
-		if err := SaveShardedFS(fsys, med.Path(), ss.ID, ss, ss.Partitioner); err != nil {
-			obsCheckpointFails.Inc()
-			return nil
-		}
-		sweepShardGenerations(fsys, med.Path(), ss.ID, ss.Version())
-	}
-	if err := store.RemoveLog(fsys, logPath); err != nil {
-		obsCheckpointFails.Inc()
-	}
-	return nil
 }

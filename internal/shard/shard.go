@@ -45,18 +45,11 @@ import (
 // with shard count, merge cost with the scheme's reducer (reachability
 // probes O(|portals|) local queries per merge).
 var (
-	obsShardFanout  = obs.Stage(obs.StageShardFanout)
-	obsShardMerge   = obs.Stage(obs.StageShardMerge)
-	obsPreprocess   = obs.Stage(obs.StagePreprocess)
-	obsWarm         = obs.Stage(obs.StageWarm)
-	obsPatchApply   = obs.Stage(obs.StagePatchApply)
-	obsPatchPersist = obs.Stage(obs.StagePatchPersist)
-	obsLogAppend    = obs.Stage(obs.StageLogAppend)
-	obsLogReplay    = obs.Stage(obs.StageLogReplay)
-	// Same family the plain store reports into — the obs registry returns
-	// the one shared counter for the name.
-	obsCheckpointFails = obs.Default.Counter("pitract_checkpoint_failures_total",
-		"Checkpoint (snapshot rewrite + log truncate) failures after a durable log append.")
+	obsShardFanout = obs.Stage(obs.StageShardFanout)
+	obsShardMerge  = obs.Stage(obs.StageShardMerge)
+	obsPreprocess  = obs.Stage(obs.StagePreprocess)
+	obsWarm        = obs.Stage(obs.StageWarm)
+	obsPatchApply  = obs.Stage(obs.StagePatchApply)
 )
 
 // Probe answers a follow-up local query against one shard during Merge —
@@ -176,10 +169,8 @@ type ShardedStore struct {
 	// version counts the deltas applied since registration (restored from
 	// the manifest on reload).
 	version uint64
-	// walRecords counts delta-log records appended since the last
-	// generation checkpoint (guarded by maintMu); when it reaches the
-	// medium's cadence a new generation is written and the log truncated.
-	walRecords int
+	// journal is the write-ahead commit state (guarded by maintMu).
+	journal store.Journal
 
 	// prepared memoizes Sharding.Prepare(Summary) for the answer paths;
 	// ApplyDeltas refreshes it when a delta changes the summary.
@@ -252,11 +243,6 @@ func (ss *ShardedStore) Version() uint64 {
 	defer ss.mu.RUnlock()
 	return ss.version
 }
-
-// SetVersion stamps the maintenance version on a freshly constructed store
-// (manifest reloads restore the persisted counter). It must not be called
-// once the store is shared; ApplyDeltas is the concurrent-safe mutation.
-func (ss *ShardedStore) SetVersion(v uint64) { ss.version = v }
 
 // probe answers one follow-up local query for Merge.
 func (ss *ShardedStore) probe(shardIdx int, localQuery []byte) (bool, error) {
@@ -336,6 +322,21 @@ func (ss *ShardedStore) RetryPrepare() error {
 		}
 	}
 	return firstErr
+}
+
+// Warm builds every member store's prepared answerer now, concurrently as
+// Build does — a serial warm-up would add n decode latencies to the
+// restart path.
+func (ss *ShardedStore) Warm() {
+	var wg sync.WaitGroup
+	for _, st := range ss.Stores {
+		wg.Add(1)
+		go func(st *store.Store) {
+			defer wg.Done()
+			st.Warm()
+		}(st)
+	}
+	wg.Wait()
 }
 
 // fanout applies Sharding.Fanout with the identity default; sv is the
@@ -530,17 +531,12 @@ func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte
 // never the reader-blocking lock — and committed at once: per-shard
 // strings, summary, and version swap together under the writer lock.
 //
-// With a persistent medium the commit protocol is write-ahead, exactly as
-// for a plain store: the original (top-level) deltas are appended to the
-// dataset's delta log — CRC-framed and fsynced — before any served state
-// changes. The log append is the commit point: a failure there aborts the
-// batch with nothing applied (PersistError); once the record is durable
-// the batch commits unconditionally. On the medium's checkpoint cadence a
-// fresh shard generation is written (new generation files first, manifest
-// rename as the atomic commit point) and the log truncated; a checkpoint
-// failure after a durable append is counted and retried on the next batch
-// — the log stays authoritative and a restart replays it on top of the
-// manifest's generation.
+// With a persistent medium the staged batch commits through
+// store.Journal.Commit, the protocol a plain store uses: the original
+// (top-level) deltas are appended to the dataset's delta log before any
+// served state changes (the commit point), and on the medium's checkpoint
+// cadence the staged state is written as a fresh shard generation
+// (saveGeneration) and the log truncated.
 //
 // ctx bounds the batch (checked before each delta and before the commit
 // point): a budget that expires mid-batch aborts with nothing applied.
@@ -555,12 +551,7 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 	if inc == nil || inc.ApplyDelta == nil {
 		return ss.Version(), fmt.Errorf("shard: scheme %s has no incremental form", ss.Scheme.Name())
 	}
-	if med.Persistent() && ss.ID == "" {
-		return ss.Version(), fmt.Errorf("shard: cannot persist deltas for a store with no dataset ID")
-	}
-	// An empty batch is a no-op, never a persistence round-trip: writing
-	// generation v over itself and then "removing the old generation"
-	// would delete the files the manifest still names.
+	// An empty batch is a no-op: no log record, no generation rewrite.
 	if len(deltas) == 0 {
 		return ss.Version(), nil
 	}
@@ -636,27 +627,10 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 	if err := ctx.Err(); err != nil {
 		return oldVersion, fmt.Errorf("shard: %w (nothing applied)", err)
 	}
-	checkpointed := false
-	if med.Persistent() {
-		fsys := med.Files()
-		appendStart := obs.Start()
-		if err := store.AppendLogRecord(fsys, store.LogPath(med.Path(), ss.ID), oldVersion, deltas); err != nil {
-			return oldVersion, &store.PersistError{Err: fmt.Errorf("shard: log delta batch: %w (nothing applied)", err)}
-		}
-		obsLogAppend.Since(appendStart)
-		ss.walRecords++
-		if ss.walRecords >= med.Cadence() {
-			persistStart := obs.Start()
-			if err := ss.saveMaintainedStaged(fsys, med.Path(), pending, summary, newVersion); err != nil {
-				obsCheckpointFails.Inc()
-			} else if err := store.RemoveLog(fsys, store.LogPath(med.Path(), ss.ID)); err != nil {
-				obsCheckpointFails.Inc()
-			} else {
-				ss.walRecords = 0
-				checkpointed = true
-				obsPatchPersist.Since(persistStart)
-			}
-		}
+	if err := ss.journal.Commit(med, ss.ID, oldVersion, deltas, func(fsys store.FS, dir string) error {
+		return ss.saveGeneration(fsys, dir, pending, summary, newVersion)
+	}); err != nil {
+		return oldVersion, err
 	}
 	var prepared interface{}
 	var prepErr error
@@ -705,12 +679,6 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 	ss.prepared, ss.prepErr, ss.prepDone = prepared, prepErr, ss.Sharding.Prepare != nil
 	ss.prepMu.Unlock()
 	ss.mu.Unlock()
-	// Sweep only after a successful checkpoint: between checkpoints the
-	// manifest still names the previous generation's files, which must
-	// survive for replay-over-manifest recovery.
-	if checkpointed {
-		sweepShardGenerations(med.Files(), med.Path(), ss.ID, newVersion)
-	}
 	return newVersion, nil
 }
 

@@ -128,24 +128,8 @@ func (m *Medium) fs() FS {
 	return m.FS
 }
 
-// Files is the exported face of fs, for composite datasets (internal/shard)
-// persisting through the registry's medium.
-func (m *Medium) Files() FS { return m.fs() }
-
 // persistent reports whether the medium persists anything at all.
 func (m *Medium) persistent() bool { return m != nil && m.Dir != "" }
-
-// Persistent reports whether the medium persists anything at all (a nil
-// medium is volatile).
-func (m *Medium) Persistent() bool { return m.persistent() }
-
-// Path reports the medium's directory ("" when volatile; nil-safe).
-func (m *Medium) Path() string {
-	if m == nil {
-		return ""
-	}
-	return m.Dir
-}
 
 // checkpointEvery normalizes the checkpoint cadence.
 func (m *Medium) checkpointEvery() int {
@@ -154,10 +138,6 @@ func (m *Medium) checkpointEvery() int {
 	}
 	return m.CheckpointEvery
 }
-
-// Cadence is the exported face of checkpointEvery: the normalized number of
-// log records between checkpoints.
-func (m *Medium) Cadence() int { return m.checkpointEvery() }
 
 // WriteFileAtomicFS writes b to path atomically on fsys: temp file in the
 // target directory, fsync, rename, directory fsync. A crash mid-write

@@ -12,7 +12,6 @@ package store
 
 import (
 	"fmt"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -258,16 +257,6 @@ func (b *Breaker) MarkQuarantined() {
 	b.state = HealthQuarantined
 }
 
-// MarkHealed force-resets the breaker to Healthy.
-func (b *Breaker) MarkHealed() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.state = HealthHealthy
-	b.failures = b.failures[:0]
-	b.probing = false
-	b.backoff = b.cfg.Backoff
-}
-
 // State returns the current health state, aging out stale failures.
 func (b *Breaker) State() HealthState {
 	b.mu.Lock()
@@ -315,26 +304,7 @@ func (r *Registry) HealthStates() map[string]HealthState {
 // QuarantineCount reports how many artifacts this registry quarantined.
 func (r *Registry) QuarantineCount() int64 { return r.quarantineCount.Load() }
 
-// NoteQuarantine counts an externally performed quarantine (composite
-// registrations report through this seam, like NoteLoad/NotePreprocess)
-// and marks the dataset's breaker.
-func (r *Registry) NoteQuarantine(id string) {
-	r.quarantineCount.Add(1)
-	obsQuarantines.Inc()
-	r.Breaker(id).MarkQuarantined()
-}
-
 // QuarantinePath maps an artifact path to where quarantine moves it.
 // The suffix appends to an already path-escaped filename, so hostile
 // dataset ids cannot escape the data directory.
 func QuarantinePath(path string) string { return path + ".quarantine" }
-
-// quarantineArtifact renames a corrupt artifact aside for forensics and
-// records the quarantine. A rename failure must not block the rebuild —
-// the artifact is unreadable either way.
-func (r *Registry) quarantineArtifact(fsys FS, path, id string) {
-	if err := fsys.Rename(path, QuarantinePath(path)); err == nil {
-		fsys.SyncDir(filepath.Dir(path))
-	}
-	r.NoteQuarantine(id)
-}

@@ -323,12 +323,13 @@ func TestRegistryBreakerPlumbing(t *testing.T) {
 	if len(states) != 1 || states["ds"] != HealthHealthy {
 		t.Fatalf("HealthStates = %v, want {ds: healthy}", states)
 	}
-	reg.NoteQuarantine("ds")
+	// A rename failure (nothing at the path) still counts and marks.
+	reg.quarantineArtifact(OSFS, filepath.Join(t.TempDir(), "absent.pitract"), "ds")
 	if got := reg.QuarantineCount(); got != 1 {
 		t.Fatalf("QuarantineCount = %d, want 1", got)
 	}
 	if st := reg.HealthStates()["ds"]; st != HealthQuarantined {
-		t.Fatalf("NoteQuarantine did not mark the breaker: %v", st)
+		t.Fatalf("quarantineArtifact did not mark the breaker: %v", st)
 	}
 }
 

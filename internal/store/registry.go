@@ -4,14 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io/fs"
-	"math/rand"
 	"net/url"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"pitract/internal/core"
 	"pitract/internal/obs"
@@ -108,7 +105,8 @@ type DeltaDataset interface {
 // Plain (single-store) registration goes through Register; composite
 // datasets (sharded stores) plug in through RegisterDataset, which carries
 // the same one-catalog-entry, one-build-per-ID guarantee for any Dataset
-// implementation.
+// implementation. Both persist through LoadOrBuild (durable.go), so every
+// dataset kind shares one reload, replay and quarantine protocol.
 //
 // The registry is safe for concurrent use; Answer paths never hold the
 // registry lock (the preprocessed bytes are immutable).
@@ -117,11 +115,6 @@ type Registry struct {
 
 	mu      sync.Mutex
 	entries map[string]*regEntry
-	// incResolver maps a scheme name to its incremental form for
-	// ApplyDelta. It defaults to the built-in schemes catalog
-	// (schemes.IncrementalForScheme); SetIncrementalResolver lets callers
-	// registering custom core.Scheme values plug in their own.
-	incResolver func(string) *core.IncrementalScheme
 
 	preprocessCount atomic.Int64
 	loadCount       atomic.Int64
@@ -171,44 +164,11 @@ func NewRegistryMedium(med *Medium) *Registry {
 	return &Registry{med: med, entries: map[string]*regEntry{}}
 }
 
-// Medium exposes the registry's persistence medium, so composite
-// registrations (internal/shard) persist through the same file layer and
-// checkpoint cadence the registry itself uses.
-func (r *Registry) Medium() *Medium { return r.med }
-
 // SetCheckpointEvery sets how many delta-log records may accumulate per
 // dataset before its snapshot is rewritten and the log truncated (values
 // < 1 mean 1 — checkpoint on every PATCH). Set it before serving traffic;
 // it is not synchronized against in-flight maintenance.
 func (r *Registry) SetCheckpointEvery(n int) { r.med.CheckpointEvery = n }
-
-// SetIncrementalResolver overrides how ApplyDelta resolves a scheme's
-// incremental form by name (nil restores the built-in schemes catalog).
-// Callers serving custom schemes use it to make their datasets
-// maintainable; set it before serving traffic.
-func (r *Registry) SetIncrementalResolver(f func(string) *core.IncrementalScheme) {
-	r.mu.Lock()
-	r.incResolver = f
-	r.mu.Unlock()
-}
-
-// IncrementalFor resolves a scheme's incremental form through the
-// registry's resolver (the built-in schemes catalog unless
-// SetIncrementalResolver overrode it). Composite registrations
-// (internal/shard) use it to replay a sharded dataset's delta log with the
-// same resolution ApplyDelta will serve with.
-func (r *Registry) IncrementalFor(name string) *core.IncrementalScheme {
-	r.mu.Lock()
-	f := r.incResolver
-	r.mu.Unlock()
-	if f == nil {
-		f = schemes.IncrementalForScheme
-	}
-	return f(name)
-}
-
-// Dir reports the snapshot directory ("" when memory-only).
-func (r *Registry) Dir() string { return r.med.Dir }
 
 // SnapshotPath maps a dataset ID to its snapshot file under dir. IDs are
 // arbitrary strings, so the filename is the ID path-escaped (keeps readable
@@ -217,11 +177,6 @@ func (r *Registry) Dir() string { return r.med.Dir }
 // restarted registry will reload.
 func SnapshotPath(dir, id string) string {
 	return filepath.Join(dir, url.PathEscape(id)+".pitract")
-}
-
-// snapshotPath is SnapshotPath under the registry's own directory.
-func (r *Registry) snapshotPath(id string) string {
-	return SnapshotPath(r.med.Dir, id)
 }
 
 // RegisterDataset returns the dataset registered under id, building it on
@@ -379,11 +334,34 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 			return nil
 		},
 		func() (Dataset, error) {
-			st, err := r.build(id, scheme, data)
-			if err != nil {
-				return nil, err
-			}
-			return st, nil
+			return r.LoadOrBuild(id, Artifact{
+				Load: func(fsys FS, dir string) (Dataset, error) {
+					snap, err := LoadFS(fsys, SnapshotPath(dir, id))
+					if err != nil || snap.SchemeName != scheme.Name() || snap.DataSum != sum {
+						return nil, err
+					}
+					// A snapshot with Version > 0 is the maintained Π(D ⊕ ∆D…):
+					// resuming from it (not from a re-preprocess of D) is the
+					// whole point of persisting maintenance.
+					st := &Store{ID: id, Scheme: scheme, Prep: snap.Prep, DataSum: sum, Loaded: true}
+					st.SetVersion(snap.Version)
+					return st, nil
+				},
+				Build: func() (Dataset, error) {
+					ppStart := obs.Start()
+					pd, err := scheme.Preprocess(data)
+					if err != nil {
+						return nil, fmt.Errorf("store: register %q: preprocess (%s): %w", id, scheme.Name(), err)
+					}
+					obsPreprocess.Since(ppStart)
+					st := &Store{ID: id, Scheme: scheme, Prep: pd, DataSum: sum}
+					warm(st)
+					return st, nil
+				},
+				Save: func(fsys FS, dir string, ds Dataset) error {
+					return SaveFS(fsys, SnapshotPath(dir, id), ds.(*Store).Snapshot())
+				},
+			})
 		})
 	if err != nil {
 		return nil, err
@@ -395,207 +373,10 @@ func (r *Registry) RegisterContext(ctx context.Context, id string, scheme *core.
 	return st, nil
 }
 
-// rebuildAttempts bounds the jittered-backoff retry loop around
-// persistence I/O on the quarantine-and-heal rebuild path (and the
-// transient-read retry before declaring a snapshot unreadable).
-const rebuildAttempts = 3
-
-// rebuildBackoff sleeps before retry attempt (1-based), with ±50%
-// jitter so concurrent rebuilds don't hammer a recovering medium in
-// lockstep: 5ms, 10ms, 20ms… before jitter.
-func rebuildBackoff(attempt int) {
-	base := 5 * time.Millisecond << (attempt - 1)
-	time.Sleep(time.Duration(float64(base) * (0.5 + rand.Float64())))
-}
-
-// loadSnapshot reads the dataset's snapshot, retrying transient I/O
-// errors with jittered backoff. A missing file and a corrupt artifact
-// (typed CorruptArtifactError) return immediately — neither gets better
-// by retrying.
-func (r *Registry) loadSnapshot(fsys FS, id string) (*Snapshot, error) {
-	var err error
-	for attempt := 1; ; attempt++ {
-		var snap *Snapshot
-		snap, err = LoadFS(fsys, r.snapshotPath(id))
-		if err == nil {
-			return snap, nil
-		}
-		var ce *CorruptArtifactError
-		if errors.Is(err, fs.ErrNotExist) || errors.As(err, &ce) || attempt >= rebuildAttempts {
-			return nil, err
-		}
-		rebuildBackoff(attempt)
-	}
-}
-
-// build produces the store for one first-time registration.
-func (r *Registry) build(id string, scheme *core.Scheme, data []byte) (*Store, error) {
-	sum := SumData(data)
-	// quarantined marks a registration that found its persisted snapshot
-	// corrupt: the artifact was renamed aside and the store is rebuilt
-	// from source — but the delta log (if any) survives and is replayed,
-	// because its records are acknowledged batches for this same data.
-	quarantined := false
-	if r.med.persistent() {
-		fsys := r.med.fs()
-		loadStart := obs.Start()
-		snap, lerr := r.loadSnapshot(fsys, id)
-		if lerr == nil && snap.SchemeName == scheme.Name() && snap.DataSum == sum {
-			obsSnapshotLoad.Since(loadStart)
-			r.loadCount.Add(1)
-			obsSnapshotLoadTotal.Inc()
-			st := &Store{ID: id, Scheme: scheme, Prep: snap.Prep, DataSum: sum, Loaded: true}
-			// A snapshot with Version > 0 is the maintained Π(D ⊕ ∆D…):
-			// resuming from it (not from a re-preprocess of D) is the whole
-			// point of persisting maintenance.
-			st.SetVersion(snap.Version)
-			// A crash between a durable log append and the checkpoint leaves
-			// acknowledged batches only in the log: replay them on top of the
-			// snapshot so the restart resumes at the exact applied version.
-			if err := r.replayLog(st); err != nil {
-				return nil, fmt.Errorf("store: register %q: %w", id, err)
-			}
-			// Decode Π into its prepared form while still inside the one
-			// build this registration runs — queries then pay only probes.
-			warmStart := obs.Start()
-			st.Warm()
-			obsWarm.Since(warmStart)
-			return st, nil
-		}
-		var ce *CorruptArtifactError
-		if errors.As(lerr, &ce) {
-			// The snapshot failed CRC or decode: keep the bytes for
-			// forensics under *.quarantine and rebuild Π from source
-			// instead of erroring the dataset permanently.
-			r.quarantineArtifact(fsys, r.snapshotPath(id), id)
-			quarantined = true
-		}
-	}
-	ppStart := obs.Start()
-	pd, err := scheme.Preprocess(data)
-	if err != nil {
-		return nil, fmt.Errorf("store: register %q: preprocess (%s): %w", id, scheme.Name(), err)
-	}
-	obsPreprocess.Since(ppStart)
-	r.preprocessCount.Add(1)
-	obsPreprocessTotal.Inc()
-	st := &Store{ID: id, Scheme: scheme, Prep: pd, DataSum: sum}
-	if r.med.persistent() {
-		fsys := r.med.fs()
-		saveStart := obs.Start()
-		saveErr := SaveFS(fsys, r.snapshotPath(id), st.Snapshot())
-		for attempt := 1; saveErr != nil && quarantined && attempt < rebuildAttempts; attempt++ {
-			// The heal path tolerates a still-flaky medium: retry the
-			// rebuild's persistence with jittered backoff before giving up.
-			rebuildBackoff(attempt)
-			saveErr = SaveFS(fsys, r.snapshotPath(id), st.Snapshot())
-		}
-		if saveErr != nil {
-			return nil, saveErr
-		}
-		obsSnapshotSave.Since(saveStart)
-		if quarantined {
-			// The surviving delta log holds acknowledged batches for this
-			// same data digest, starting at the rebuilt version 0: replay
-			// them instead of discarding acknowledged state.
-			if err := r.replayLog(st); err != nil {
-				return nil, fmt.Errorf("store: register %q: %w", id, err)
-			}
-		} else if err := RemoveLog(fsys, LogPath(r.med.Dir, id)); err != nil {
-			// A fresh preprocess supersedes any delta log a previous
-			// incarnation of this ID left behind (different data or
-			// scheme): its records apply to a Π that no longer exists.
-			return nil, err
-		}
-	}
-	warmStart := obs.Start()
-	st.Warm()
-	obsWarm.Since(warmStart)
-	return st, nil
-}
-
-// replayLog applies the delta-log tail to a snapshot-loaded store. Records
-// wholly at or below the snapshot version are already checkpointed and
-// skip; the record starting exactly at the loaded version applies
-// (memory-only — the log already holds it durably); a gap or straddle
-// means an acknowledged batch vanished (lying fsync, foreign truncation)
-// and errors rather than silently resuming behind acknowledged state.
-// After a non-empty replay the store checkpoints: snapshot rewritten at
-// the replayed version, log truncated. A failed checkpoint here is not
-// fatal — the log stays authoritative and the next restart replays again.
-func (r *Registry) replayLog(st *Store) error {
-	fsys := r.med.fs()
-	logPath := LogPath(r.med.Dir, st.ID)
-	records, err := ReadLog(fsys, logPath)
-	if err != nil {
-		var ce *CorruptArtifactError
-		if errors.As(err, &ce) {
-			// The log is structurally corrupt (foreign magic or a
-			// CRC-valid-but-unparseable body — hostility, not a torn
-			// crash). Its tail is unrecoverable either way: quarantine the
-			// bytes for forensics and serve the checkpointed snapshot
-			// rather than wedging the dataset.
-			r.quarantineArtifact(fsys, logPath, st.ID)
-			return nil
-		}
-		return err
-	}
-	if len(records) == 0 {
-		return nil
-	}
-	inc := r.IncrementalFor(st.Scheme.Name())
-	replayStart := obs.Start()
-	replayed := 0
-	for i, rec := range records {
-		v := st.Version()
-		end := rec.FromVersion + uint64(len(rec.Deltas))
-		if end <= v {
-			continue // fully inside the checkpoint
-		}
-		if rec.FromVersion != v {
-			return fmt.Errorf("replay log %s: record %d covers versions [%d,%d) but the snapshot is at %d — an acknowledged batch is missing",
-				logPath, i, rec.FromVersion, end, v)
-		}
-		if inc == nil {
-			return fmt.Errorf("replay log %s: scheme %s has no incremental form to replay %d logged deltas",
-				logPath, st.Scheme.Name(), len(rec.Deltas))
-		}
-		if _, err := st.ApplyDeltas(context.Background(), inc, rec.Deltas, nil); err != nil {
-			return fmt.Errorf("replay log %s: record %d: %w", logPath, i, err)
-		}
-		replayed++
-		r.replayCount.Add(1)
-		obsLogReplayedTotal.Inc()
-	}
-	obsLogReplay.Since(replayStart)
-	// Fold the replayed state into a checkpoint (or drop a log that was
-	// entirely stale). Save-then-remove: losing the log before the snapshot
-	// holds its records would lose acknowledged batches.
-	if replayed > 0 {
-		if err := SaveFS(fsys, r.snapshotPath(st.ID), st.Snapshot()); err != nil {
-			obsCheckpointFails.Inc()
-			return nil
-		}
-	}
-	if err := RemoveLog(fsys, logPath); err != nil {
-		obsCheckpointFails.Inc()
-	}
-	return nil
-}
-
 // ReplayCount reports how many delta-log records this registry has
 // replayed over loaded snapshots — non-zero after a restart that recovered
 // acknowledged-but-not-checkpointed batches.
 func (r *Registry) ReplayCount() int64 { return r.replayCount.Load() }
-
-// NoteReplay folds an externally replayed delta-log record into the
-// registry's replay counters (one call per record); internal/shard's
-// sharded replay reports through it, as NotePreprocess/NoteLoad do for
-// builds and reloads.
-func (r *Registry) NoteReplay() {
-	r.replayCount.Add(1)
-	obsLogReplayedTotal.Inc()
-}
 
 // NotFoundError reports an ApplyDelta against an id with no completed
 // registration — the HTTP layer maps it to 404 where every other delta
@@ -648,8 +429,7 @@ func (e *PersistError) Unwrap() error { return e.Err }
 
 // ApplyDelta maintains the dataset registered under id in place:
 // Π ← Π(D ⊕ ∆D₁ ⊕ … ⊕ ∆Dₖ) through the scheme's incremental form (the
-// built-in schemes catalog by default; see SetIncrementalResolver),
-// applied under the dataset's maintenance lock.
+// built-in schemes catalog), applied under the dataset's maintenance lock.
 // The batch is atomic — every delta commits together with a bumped
 // monotonic version and an atomically rewritten snapshot (when the
 // registry is persistent), or nothing changes at all: a malformed delta, a
@@ -678,7 +458,7 @@ func (r *Registry) ApplyDeltaContext(ctx context.Context, id string, deltas [][]
 	if len(deltas) == 0 {
 		return ds.Version(), fmt.Errorf("store: dataset %q: empty delta batch", id)
 	}
-	inc := r.IncrementalFor(ds.SchemeName())
+	inc := schemes.IncrementalForScheme(ds.SchemeName())
 	if inc == nil {
 		return ds.Version(), fmt.Errorf("store: dataset %q: scheme %s has no incremental form (maintainable: %v)",
 			id, ds.SchemeName(), schemes.MaintainableSchemes())
@@ -860,17 +640,3 @@ func (r *Registry) PreprocessCount() int64 { return r.preprocessCount.Load() }
 // LoadCount reports how many stores were reloaded from snapshots instead of
 // preprocessed (one per shard for sharded datasets).
 func (r *Registry) LoadCount() int64 { return r.loadCount.Load() }
-
-// NotePreprocess folds an externally run Preprocess call into the
-// registry's counters. Composite registrations (internal/shard) preprocess
-// their parts outside build and report here so /v1/stats stays truthful.
-func (r *Registry) NotePreprocess() {
-	r.preprocessCount.Add(1)
-	obsPreprocessTotal.Inc()
-}
-
-// NoteLoad is NotePreprocess for snapshot reloads.
-func (r *Registry) NoteLoad() {
-	r.loadCount.Add(1)
-	obsSnapshotLoadTotal.Inc()
-}

@@ -35,19 +35,9 @@ import (
 	"pitract/internal/obs"
 )
 
-// PATCH-maintenance stage histograms: the incremental in-memory apply, the
-// log append (the commit point), and the checkpoint rewrite are timed
-// separately so dashboards can tell CPU-bound maintenance apart from
-// fsync-bound persistence. Checkpoint failures after a durable log append
-// are counted, not fatal — the log stays authoritative and the next batch
-// retries the checkpoint.
-var (
-	obsPatchApply      = obs.Stage(obs.StagePatchApply)
-	obsPatchPersist    = obs.Stage(obs.StagePatchPersist)
-	obsLogAppend       = obs.Stage(obs.StageLogAppend)
-	obsCheckpointFails = obs.Default.Counter("pitract_checkpoint_failures_total",
-		"Checkpoint (snapshot rewrite + log truncate) failures after a durable log append.")
-)
+// obsPatchApply times the incremental in-memory apply of a PATCH; the
+// persistence stages beside it live with the commit protocol (durable.go).
+var obsPatchApply = obs.Stage(obs.StagePatchApply)
 
 // snapshotMagic opens every snapshot file. The trailing byte is the format
 // version; bump it when the payload layout changes. Version 2 added the
@@ -321,13 +311,13 @@ func LoadFS(fsys FS, path string) (*Snapshot, error) {
 	return s, nil
 }
 
-// CorruptArtifactError marks a persisted artifact (snapshot or delta
-// log) that failed structural validation — wrong magic, checksum
-// mismatch, or an undecodable body — as opposed to a transient I/O
-// error reading it. The registry responds by renaming the artifact to
-// *.quarantine and rebuilding from source (see Registry build) rather
-// than wedging the dataset. The message is the underlying error's,
-// unchanged.
+// CorruptArtifactError marks a persisted artifact (snapshot, shard
+// manifest or shard snapshot, or delta log) that failed structural
+// validation — wrong magic, checksum or digest mismatch, or an
+// undecodable body — as opposed to a transient I/O error reading it. The
+// registry responds by renaming the artifact to *.quarantine and
+// rebuilding from source (see Registry.LoadOrBuild) rather than wedging
+// the dataset. The message is the underlying error's, unchanged.
 type CorruptArtifactError struct {
 	Path string
 	Err  error
@@ -372,17 +362,15 @@ type Store struct {
 	// delta application, answerer preparation, or snapshot I/O — so queries
 	// are never blocked on maintenance work.
 	mu sync.RWMutex
-	// maintMu serializes maintainers (ApplyDeltas/Replace callers), so the
+	// maintMu serializes maintainers (ApplyDeltas callers), so the
 	// staged state and the snapshot on disk can be built outside mu
 	// without a later writer overwriting a newer version with a stale one.
 	maintMu sync.Mutex
 	// version counts the deltas applied since registration; it only ever
 	// grows, and every applied delta bumps it by one.
 	version uint64
-	// walRecords counts delta-log records appended since the last
-	// checkpoint (guarded by maintMu); when it reaches the medium's
-	// CheckpointEvery the snapshot is rewritten and the log truncated.
-	walRecords int
+	// journal is the write-ahead commit state (guarded by maintMu).
+	journal Journal
 	// prep is the prepared answerer for the current Π (core.PreparedScheme):
 	// the scheme's typed decoded form, built once per Π — eagerly by Warm at
 	// registration/load, or lazily on the first answer for stores assembled
@@ -448,20 +436,12 @@ func (st *Store) View() ([]byte, uint64) {
 	return st.Prep, st.version
 }
 
-// Replace swaps the preprocessed string and maintenance version under the
-// writer lock — the commit step of composite (sharded) maintenance, which
-// stages per-shard strings outside the store and swaps them in wholesale
-// once every shard's maintenance has succeeded. The prepared answerer is
-// reset and rebuilt lazily; maintainers that have already prepared the new
-// Π outside the lock use ReplacePrepared to swap all three at once.
-func (st *Store) Replace(prep []byte, version uint64) {
-	st.ReplacePrepared(prep, version, nil, nil)
-}
-
-// ReplacePrepared is Replace with a pre-staged prepared answerer: ⟨Π,
-// version, prepared⟩ commit in one writer-lock critical section, so the
-// reader-blocking lock is never held across Prepare's decode work. a and
-// aerr may both be nil to defer preparation to the first answer.
+// ReplacePrepared swaps ⟨Π, version, prepared answerer⟩ in one writer-lock
+// critical section — the commit step of maintenance (plain, and each
+// member store of a sharded batch), which stages the new Π and prepares
+// it outside the store, so the reader-blocking lock is never held across
+// Prepare's decode work. a and aerr may both be nil to defer preparation
+// to the first answer.
 func (st *Store) ReplacePrepared(prep []byte, version uint64, a core.Answerer, aerr error) {
 	st.mu.Lock()
 	st.Prep, st.version = prep, version
@@ -548,16 +528,12 @@ func (st *Store) Version() uint64 {
 // every delta commits and the version grows by k, or none do and the store
 // (and its durable state) are untouched.
 //
-// With a persistent medium the commit protocol is write-ahead: the batch
-// is appended to the dataset's delta log — CRC-framed and fsynced — before
-// any in-memory state changes, so the durable artifact is never behind a
-// state a query has already observed. The log append is the commit point:
-// a failure there aborts the batch with nothing applied (PersistError);
-// once the record is durable the batch commits unconditionally. When the
-// medium's checkpoint cadence is due, the maintained snapshot is rewritten
-// atomically and the log truncated; a checkpoint failure after a durable
-// append is counted and retried on the next batch — the log stays
-// authoritative and a restart replays it (see wal.go).
+// With a persistent medium the staged batch commits through
+// Journal.Commit: it is appended to the dataset's delta log — CRC-framed
+// and fsynced — before any in-memory state changes, so the durable
+// artifact is never behind a state a query has already observed (a failed
+// append aborts with nothing applied), and on the medium's checkpoint
+// cadence the maintained snapshot is rewritten and the log truncated.
 //
 // ctx bounds the batch: it is checked before each delta and before the
 // commit point, so a budget that expires mid-batch aborts with nothing
@@ -573,9 +549,6 @@ func (st *Store) Version() uint64 {
 func (st *Store) ApplyDeltas(ctx context.Context, inc *core.IncrementalScheme, deltas [][]byte, med *Medium) (uint64, error) {
 	if inc == nil || inc.ApplyDelta == nil {
 		return st.Version(), fmt.Errorf("store: scheme %s has no incremental form", st.Scheme.Name())
-	}
-	if med.persistent() && st.ID == "" {
-		return st.Version(), fmt.Errorf("store: cannot persist deltas for a store with no dataset ID")
 	}
 	if len(deltas) == 0 {
 		return st.Version(), nil // no-op, no log record
@@ -600,25 +573,12 @@ func (st *Store) ApplyDeltas(ctx context.Context, inc *core.IncrementalScheme, d
 		return oldVersion, fmt.Errorf("store: %w (nothing applied)", err)
 	}
 	newVersion := oldVersion + uint64(len(deltas))
-	if med.persistent() {
-		fsys := med.fs()
-		appendStart := obs.Start()
-		if err := AppendLogRecord(fsys, LogPath(med.Dir, st.ID), oldVersion, deltas); err != nil {
-			return oldVersion, &PersistError{Err: fmt.Errorf("store: log delta batch: %w (nothing applied)", err)}
-		}
-		obsLogAppend.Since(appendStart)
-		st.walRecords++
-		if st.walRecords >= med.checkpointEvery() {
-			persistStart := obs.Start()
-			snap := st.snapshotSkeleton()
-			snap.Prep, snap.Version = cur, newVersion
-			if err := st.checkpoint(fsys, med.Dir, snap); err != nil {
-				obsCheckpointFails.Inc()
-			} else {
-				st.walRecords = 0
-				obsPatchPersist.Since(persistStart)
-			}
-		}
+	if err := st.journal.Commit(med, st.ID, oldVersion, deltas, func(fsys FS, dir string) error {
+		snap := st.snapshotSkeleton()
+		snap.Prep, snap.Version = cur, newVersion
+		return SaveFS(fsys, SnapshotPath(dir, st.ID), snap)
+	}); err != nil {
+		return oldVersion, err
 	}
 	// The maintained Π's prepared answerer is built here, outside the
 	// reader-blocking lock, and committed with ⟨Π, version⟩ in one swap. A
@@ -628,18 +588,6 @@ func (st *Store) ApplyDeltas(ctx context.Context, inc *core.IncrementalScheme, d
 	a, aerr := st.Scheme.Prepare(cur)
 	st.ReplacePrepared(cur, newVersion, a, aerr)
 	return newVersion, nil
-}
-
-// checkpoint rewrites the durable snapshot and truncates the delta log —
-// the snapshot write is the checkpoint's commit (atomic rename + directory
-// fsync), after which every log record is at or below the snapshot version
-// and the log is dead weight. A crash between the two steps leaves a stale
-// log whose records replay as no-ops.
-func (st *Store) checkpoint(fsys FS, dir string, snap *Snapshot) error {
-	if err := SaveFS(fsys, SnapshotPath(dir, st.ID), snap); err != nil {
-		return err
-	}
-	return RemoveLog(fsys, LogPath(dir, st.ID))
 }
 
 // DatasetID implements Dataset.
