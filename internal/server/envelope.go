@@ -163,14 +163,33 @@ type EndpointRejections struct {
 	Breaker503       int64 `json:"breaker_503,omitempty"`
 }
 
-// endpointCounters is the live (atomic) form of EndpointRejections.
-type endpointCounters struct {
-	rejected429      atomic.Int64
-	rejectedBody413  atomic.Int64
-	rejectedBatch413 atomic.Int64
-	budgetExceeded   atomic.Int64
-	deadline504      atomic.Int64
-	breaker503       atomic.Int64
+// rejectKind names one envelope rejection counter.
+type rejectKind int
+
+const (
+	kind429 rejectKind = iota
+	kindBody413
+	kindBatch413
+	kindBudget
+	kindDeadline504
+	kindBreaker503
+	nKinds
+)
+
+// rejections is the live (atomic) form of one scope's rejection counters,
+// indexed by rejectKind.
+type rejections [nKinds]atomic.Int64
+
+// wire renders the counters in their /v1/stats form.
+func (c *rejections) wire() EndpointRejections {
+	return EndpointRejections{
+		Rejected429:      c[kind429].Load(),
+		RejectedBody413:  c[kindBody413].Load(),
+		RejectedBatch413: c[kindBatch413].Load(),
+		BudgetExceeded:   c[kindBudget].Load(),
+		Deadline504:      c[kindDeadline504].Load(),
+		Breaker503:       c[kindBreaker503].Load(),
+	}
 }
 
 // endpointLabel collapses a request path to its endpoint identity, so the
@@ -199,14 +218,10 @@ type envelope struct {
 	mu         sync.Mutex
 	perDataset map[string]int
 
-	rejected429      atomic.Int64
-	rejectedBody413  atomic.Int64
-	rejectedBatch413 atomic.Int64
-	budgetExceeded   atomic.Int64
-	deadline504      atomic.Int64
-	breaker503       atomic.Int64
+	// rejected holds the global rejection counters.
+	rejected rejections
 
-	// byEndpoint maps an endpointLabel to its *endpointCounters. Entries are
+	// byEndpoint maps an endpointLabel to its *rejections. Entries are
 	// created only on a rejection, so the map stays empty (and invisible in
 	// /v1/stats) on a healthy node, and endpointLabel bounds its cardinality.
 	byEndpoint sync.Map
@@ -217,49 +232,16 @@ func newEnvelope(l Limits) *envelope {
 	return &envelope{limits: l.withDefaults(), perDataset: map[string]int{}}
 }
 
-// endpoint returns the counters for one endpoint label, creating them on
-// first rejection.
-func (ev *envelope) endpoint(label string) *endpointCounters {
-	if v, ok := ev.byEndpoint.Load(label); ok {
-		return v.(*endpointCounters)
+// note counts one rejection of kind, globally and against r's endpoint
+// (whose counters are created on its first rejection).
+func (ev *envelope) note(r *http.Request, kind rejectKind) {
+	ev.rejected[kind].Add(1)
+	label := endpointLabel(r.URL.Path)
+	v, ok := ev.byEndpoint.Load(label)
+	if !ok {
+		v, _ = ev.byEndpoint.LoadOrStore(label, &rejections{})
 	}
-	v, _ := ev.byEndpoint.LoadOrStore(label, &endpointCounters{})
-	return v.(*endpointCounters)
-}
-
-// noteBody413 counts one oversized-body refusal, globally and against r's
-// endpoint.
-func (ev *envelope) noteBody413(r *http.Request) {
-	ev.rejectedBody413.Add(1)
-	ev.endpoint(endpointLabel(r.URL.Path)).rejectedBody413.Add(1)
-}
-
-// noteBatch413 counts one oversized-batch refusal, globally and against
-// r's endpoint.
-func (ev *envelope) noteBatch413(r *http.Request) {
-	ev.rejectedBatch413.Add(1)
-	ev.endpoint(endpointLabel(r.URL.Path)).rejectedBatch413.Add(1)
-}
-
-// noteBudget counts one budget-exceeded 503, globally and against r's
-// endpoint.
-func (ev *envelope) noteBudget(r *http.Request) {
-	ev.budgetExceeded.Add(1)
-	ev.endpoint(endpointLabel(r.URL.Path)).budgetExceeded.Add(1)
-}
-
-// noteDeadline504 counts one query-budget 504, globally and against r's
-// endpoint.
-func (ev *envelope) noteDeadline504(r *http.Request) {
-	ev.deadline504.Add(1)
-	ev.endpoint(endpointLabel(r.URL.Path)).deadline504.Add(1)
-}
-
-// noteBreaker503 counts one open-breaker refusal, globally and against
-// r's endpoint.
-func (ev *envelope) noteBreaker503(r *http.Request) {
-	ev.breaker503.Add(1)
-	ev.endpoint(endpointLabel(r.URL.Path)).breaker503.Add(1)
+	v.(*rejections)[kind].Add(1)
 }
 
 // admit tries to admit one work request against dataset (may be "" for
@@ -326,8 +308,7 @@ func (ev *envelope) retryAfterSeconds() int {
 // reject429 writes the backpressure response: 429 Too Many Requests with
 // the Retry-After header and the reason in the error body, and counts it.
 func (ev *envelope) reject429(w http.ResponseWriter, r *http.Request, reason string) {
-	ev.rejected429.Add(1)
-	ev.endpoint(endpointLabel(r.URL.Path)).rejected429.Add(1)
+	ev.note(r, kind429)
 	secs := ev.retryAfterSeconds()
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	writeError(w, r, http.StatusTooManyRequests, "%s; retry after %ds", reason, secs)
@@ -340,17 +321,10 @@ func (ev *envelope) stats() EnvelopeStats {
 		if per == nil {
 			per = map[string]EndpointRejections{}
 		}
-		c := v.(*endpointCounters)
-		per[k.(string)] = EndpointRejections{
-			Rejected429:      c.rejected429.Load(),
-			RejectedBody413:  c.rejectedBody413.Load(),
-			RejectedBatch413: c.rejectedBatch413.Load(),
-			BudgetExceeded:   c.budgetExceeded.Load(),
-			Deadline504:      c.deadline504.Load(),
-			Breaker503:       c.breaker503.Load(),
-		}
+		per[k.(string)] = v.(*rejections).wire()
 		return true
 	})
+	total := ev.rejected.wire()
 	return EnvelopeStats{
 		InFlight:              ev.inFlight.Load(),
 		MaxInFlight:           ev.limits.MaxInFlight,
@@ -359,12 +333,12 @@ func (ev *envelope) stats() EnvelopeStats {
 		MaxBatchQueries:       ev.limits.MaxBatchQueries,
 		RegisterBudgetMs:      ev.limits.RegisterBudget.Milliseconds(),
 		QueryBudgetMs:         ev.limits.QueryBudget.Milliseconds(),
-		Rejected429:           ev.rejected429.Load(),
-		RejectedBody413:       ev.rejectedBody413.Load(),
-		RejectedBatch413:      ev.rejectedBatch413.Load(),
-		BudgetExceeded:        ev.budgetExceeded.Load(),
-		Deadline504:           ev.deadline504.Load(),
-		Breaker503:            ev.breaker503.Load(),
+		Rejected429:           total.Rejected429,
+		RejectedBody413:       total.RejectedBody413,
+		RejectedBatch413:      total.RejectedBatch413,
+		BudgetExceeded:        total.BudgetExceeded,
+		Deadline504:           total.Deadline504,
+		Breaker503:            total.Breaker503,
 		PerEndpoint:           per,
 	}
 }

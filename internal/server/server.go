@@ -692,7 +692,7 @@ func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v interface{
 	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			s.env.noteBody413(r)
+			s.env.note(r, kindBody413)
 			writeError(w, r, http.StatusRequestEntityTooLarge,
 				"request body exceeds the %d-byte limit", mbe.Limit)
 			return false
@@ -809,7 +809,7 @@ func (s *Server) handleDatasetByID(w http.ResponseWriter, r *http.Request) {
 				// The batch outran the request budget; by the maintenance
 				// atomicity contract nothing was applied. Retryable with a
 				// smaller batch or a larger -register-budget.
-				s.env.noteBudget(r)
+				s.env.note(r, kindBudget)
 				writeError(w, r, http.StatusServiceUnavailable, "%v", err)
 			case errors.As(err, &pe):
 				// The deltas were applicable; writing the durable artifact
@@ -916,7 +916,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 				// The build outran the request budget and was abandoned: no
 				// catalog entry, no snapshot handed out. Retryable with a
 				// larger -register-budget.
-				s.env.noteBudget(r)
+				s.env.note(r, kindBudget)
 				writeError(w, r, http.StatusServiceUnavailable, "%v", err)
 				return
 			}
@@ -964,7 +964,7 @@ func (s *Server) queryContext(r *http.Request) (context.Context, context.CancelF
 // (falling back to the envelope's advertised delay), so synchronized
 // clients don't re-trip the breaker in one thundering retry wave.
 func (s *Server) rejectBreaker(w http.ResponseWriter, r *http.Request, dataset string, retryAfter time.Duration) {
-	s.env.noteBreaker503(r)
+	s.env.note(r, kindBreaker503)
 	if retryAfter <= 0 {
 		retryAfter = s.env.limits.RetryAfter
 	}
@@ -986,7 +986,7 @@ func (s *Server) answerFailure(w http.ResponseWriter, r *http.Request, br *store
 	var de *store.DeadlineError
 	if errors.As(err, &de) {
 		br.OnFailure(probe)
-		s.env.noteDeadline504(r)
+		s.env.note(r, kindDeadline504)
 		obsDeadlineExpired.Inc()
 		writeError(w, r, http.StatusGatewayTimeout, "%v", err)
 		return
@@ -1049,7 +1049,7 @@ func (s *Server) handleQueryBatch(w http.ResponseWriter, r *http.Request) {
 	if max := s.env.limits.MaxBatchQueries; len(req.Queries) > max {
 		// Same policy split as the body cap: a well-formed batch over the
 		// work limit is a 413 naming the limit, not a 400.
-		s.env.noteBatch413(r)
+		s.env.note(r, kindBatch413)
 		writeError(w, r, http.StatusRequestEntityTooLarge,
 			"batch of %d queries exceeds the %d-query limit", len(req.Queries), max)
 		return

@@ -361,6 +361,7 @@ func LoadShardedFS(fsys store.FS, dir, id string, scheme *core.Scheme) (*Sharded
 		}
 		ss.Stores[i].SetVersion(snap.Version)
 	}
+	ss.prepared, ss.prepErr = sh.prepareSummary(m.Summary)
 	return ss, nil
 }
 

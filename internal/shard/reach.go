@@ -307,28 +307,10 @@ func inducedSubgraphs(g *graph.Graph, shardOf []int, local []uint32, counts []in
 	return subs, nil
 }
 
-// splitGraph cuts a graph dataset into per-shard induced subgraphs.
-func splitGraph(data []byte, asn Assignment) ([][]byte, error) {
-	g, err := graph.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	shardOf, local, counts := vertexShards(g.N(), asn)
-	subs, err := inducedSubgraphs(g, shardOf, local, counts)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]byte, len(subs))
-	for i, s := range subs {
-		out[i] = s.Encode()
-	}
-	return out, nil
-}
-
-// splitSummarizeGraph is the combined Build hook: one decode, one
-// relabelling, one set of induced subgraphs feeding both the per-shard
-// parts and the portal-overlay summary.
-func splitSummarizeGraph(data []byte, asn Assignment) ([][]byte, []byte, error) {
+// splitGraph cuts a graph dataset into per-shard induced subgraphs and
+// builds the portal-overlay summary: one decode, one relabelling, one set
+// of induced subgraphs feeding both.
+func splitGraph(data []byte, asn Assignment) ([][]byte, []byte, error) {
 	g, err := graph.Decode(data)
 	if err != nil {
 		return nil, nil, err
@@ -347,21 +329,6 @@ func splitSummarizeGraph(data []byte, asn Assignment) ([][]byte, []byte, error) 
 		return nil, nil, err
 	}
 	return parts, summary, nil
-}
-
-// summarizeGraph builds the portal overlay closure (standalone form of
-// the summary half of splitSummarizeGraph).
-func summarizeGraph(data []byte, asn Assignment) ([]byte, error) {
-	g, err := graph.Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	shardOf, local, counts := vertexShards(g.N(), asn)
-	subs, err := inducedSubgraphs(g, shardOf, local, counts)
-	if err != nil {
-		return nil, err
-	}
-	return buildReachSummary(g, shardOf, local, counts, subs)
 }
 
 // buildReachSummary computes the portal overlay closure from the decoded
@@ -661,9 +628,7 @@ func reachabilitySharding(withDeltas bool) *Sharding {
 			}
 			return keys, nil
 		},
-		Split:          splitGraph,
-		Summarize:      summarizeGraph,
-		SplitSummarize: splitSummarizeGraph,
+		Split: splitGraph,
 		Prepare: func(summary []byte) (interface{}, error) {
 			rs, err := decodeReachSummary(summary)
 			if err != nil {

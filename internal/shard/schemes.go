@@ -92,15 +92,15 @@ func relationKeys(data []byte) ([]int64, error) {
 
 // splitRelation cuts a relation into one sub-relation per shard, keeping
 // the schema and tuple order. Every part is a valid dataset for the
-// selection schemes (possibly empty).
-func splitRelation(data []byte, asn Assignment) ([][]byte, error) {
+// selection schemes (possibly empty); there is no summary.
+func splitRelation(data []byte, asn Assignment) ([][]byte, []byte, error) {
 	rel, err := relation.Decode(data)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	idx := rel.Schema.AttrIndex("key")
 	if idx < 0 {
-		return nil, fmt.Errorf("shard: relation %q has no \"key\" attribute to partition on", rel.Schema.Name)
+		return nil, nil, fmt.Errorf("shard: relation %q has no \"key\" attribute to partition on", rel.Schema.Name)
 	}
 	parts := make([]*relation.Relation, asn.Shards())
 	for i := range parts {
@@ -109,14 +109,14 @@ func splitRelation(data []byte, asn Assignment) ([][]byte, error) {
 	for _, t := range rel.Tuples {
 		s := asn.Shard(t[idx].I)
 		if err := parts[s].Append(t); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 	out := make([][]byte, len(parts))
 	for i, p := range parts {
 		out[i] = p.Encode()
 	}
-	return out, nil
+	return out, nil, nil
 }
 
 // splitKeysDelta routes a key batch (schemes.KeysDelta and its delete and
@@ -195,10 +195,10 @@ func listMembershipSharding() *Sharding {
 	return &Sharding{
 		Keys:       schemes.DecodeList,
 		SplitDelta: splitKeysDelta,
-		Split: func(data []byte, asn Assignment) ([][]byte, error) {
+		Split: func(data []byte, asn Assignment) ([][]byte, []byte, error) {
 			list, err := schemes.DecodeList(data)
 			if err != nil {
-				return nil, err
+				return nil, nil, err
 			}
 			parts := make([][]int64, asn.Shards())
 			for _, v := range list {
@@ -209,7 +209,7 @@ func listMembershipSharding() *Sharding {
 			for i, p := range parts {
 				out[i] = schemes.EncodeList(p)
 			}
-			return out, nil
+			return out, nil, nil
 		},
 		Route: func(q []byte, asn Assignment) (int, error) {
 			e, err := schemes.DecodePointQuery(q)

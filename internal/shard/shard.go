@@ -13,13 +13,16 @@
 //   - Partitioner (hash, range) freezes an Assignment of element keys to
 //     shards.
 //   - Sharding is the per-scheme hook bundle: Keys extracts partition keys,
-//     Split re-encodes the dataset as n valid sub-datasets, Route finds a
-//     query's owning shard, Fanout rewrites a query per shard, Summarize
-//     builds cross-shard state (e.g. the reachability portal overlay), and
-//     Merge reduces fan-out verdicts (default: OR).
+//     Split re-encodes the dataset as n valid sub-datasets and builds the
+//     cross-shard summary (e.g. the reachability portal overlay) in one
+//     pass, Route finds a query's owning shard, Fanout rewrites a query per
+//     shard, and Merge reduces fan-out verdicts (default: OR).
 //   - ShardedStore holds the n per-shard stores plus the assignment and
 //     summary, and answers exactly like a plain store.Store — differential
-//     tests pin sharded answers byte-identical to unsharded ones.
+//     tests pin sharded answers byte-identical to unsharded ones. One
+//     per-query function routes or fans out; a single query runs it and
+//     merges, and a batch runs it as one pass over the queries on the core
+//     worker pool, then merges the fanned-out ones in a second pass.
 //   - Manifest + RegisterSharded persist the whole thing as one catalog
 //     entry backed by n snapshot files with per-shard SHA-256 integrity.
 //
@@ -30,10 +33,10 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
-	"runtime"
+	"slices"
 	"sync"
-	"time"
 
 	"pitract/internal/core"
 	"pitract/internal/obs"
@@ -58,32 +61,27 @@ var (
 // for the next probe.
 type Probe func(shard int, localQuery []byte) (bool, error)
 
-// Sharding adapts one scheme to partitioned stores. Split/Keys/Summarize
-// run once at preprocessing time; Route/Fanout/Merge sit on the answer path
-// and must stay within the scheme's NC answering budget (they do constant
-// or polylog work over the assignment and summary, never touch raw data).
+// Sharding adapts one scheme to partitioned stores. Keys/Split run once at
+// preprocessing time; Route/Fanout/Merge sit on the answer path and must
+// stay within the scheme's NC answering budget (they do constant or polylog
+// work over the assignment and summary, never touch raw data).
 type Sharding struct {
 	// Keys extracts every element's partition key, in element order, from
 	// an encoded dataset.
 	Keys func(data []byte) ([]int64, error)
 	// Split re-encodes data as asn.Shards() valid sub-datasets, element i
-	// going to shard asn.Shard(keys[i]). Every part must itself be a
-	// dataset the scheme's Preprocess accepts.
-	Split func(data []byte, asn Assignment) ([][]byte, error)
-	// Summarize builds the cross-shard summary artifact from the original
-	// data (e.g. the reachability portal-overlay closure). Nil when the
-	// scheme needs none; the result is persisted in the manifest.
-	Summarize func(data []byte, asn Assignment) ([]byte, error)
-	// SplitSummarize computes Split and Summarize in one pass over the
-	// decoded dataset; Build prefers it when set, so schemes whose split
-	// and summary share expensive intermediate state (reachability decodes
-	// the graph and builds the induced subgraphs for both) do that work
-	// once per registration instead of once per hook.
-	SplitSummarize func(data []byte, asn Assignment) (parts [][]byte, summary []byte, err error)
-	// Prepare decodes the summary once per opened store; the result is
-	// what Fanout and Merge receive, so per-query work never re-parses the
-	// O(|D|)-sized summary (that would smuggle linear work into the NC
-	// answering budget). Nil passes the raw summary bytes through.
+	// going to shard asn.Shard(keys[i]), and builds the cross-shard summary
+	// artifact (e.g. the reachability portal-overlay closure; nil when the
+	// scheme needs none) in the same pass, so state both halves share (the
+	// decoded graph, its induced subgraphs) is computed once per
+	// registration. Every part must itself be a dataset the scheme's
+	// Preprocess accepts; the summary is persisted in the manifest.
+	Split func(data []byte, asn Assignment) (parts [][]byte, summary []byte, err error)
+	// Prepare decodes a summary once, wherever the summary is set (Build,
+	// reload, a delta commit); the result is what Fanout and Merge receive,
+	// so per-query work never re-parses the O(|D|)-sized summary (that
+	// would smuggle linear work into the NC answering budget). Nil passes
+	// the raw summary bytes through.
 	Prepare func(summary []byte) (interface{}, error)
 	// Route returns the single shard that alone owns q's answer, or -1 to
 	// fan out to every shard.
@@ -142,8 +140,8 @@ type ShardedStore struct {
 	Sharding *Sharding
 	// Asn is the frozen key→shard assignment.
 	Asn Assignment
-	// Summary is the cross-shard state from Sharding.Summarize (nil when
-	// the scheme needs none).
+	// Summary is the cross-shard state from Sharding.Split (nil when the
+	// scheme needs none).
 	Summary []byte
 	// Stores holds the per-shard preprocessed stores, indexed by shard.
 	Stores []*store.Store
@@ -172,28 +170,25 @@ type ShardedStore struct {
 	// journal is the write-ahead commit state (guarded by maintMu).
 	journal store.Journal
 
-	// prepared memoizes Sharding.Prepare(Summary) for the answer paths;
-	// ApplyDeltas refreshes it when a delta changes the summary.
-	prepMu   sync.Mutex
-	prepDone bool
+	// prepared is Sharding.Prepare(Summary), what Fanout and Merge
+	// receive, and prepErr its failure, reported by every fan-out query.
+	// Both are set wherever Summary is: Build, LoadShardedFS and the
+	// ApplyDeltas commit (under mu, with Summary).
 	prepared interface{}
 	prepErr  error
 }
 
-// summaryView returns the decoded summary, preparing it once per summary
-// value. Callers hold ss.mu (read or write), which orders it against
-// ApplyDeltas' refresh, and take the view once per answer call.
-func (ss *ShardedStore) summaryView() (interface{}, error) {
-	if ss.Sharding.Prepare == nil {
-		return ss.Summary, nil
+// summaryView returns the prepared summary and its Prepare error. Callers
+// hold ss.mu, or maintMu (only maintainers write it).
+func (ss *ShardedStore) summaryView() (interface{}, error) { return ss.prepared, ss.prepErr }
+
+// prepareSummary decodes a summary with Sharding.Prepare; without one the
+// raw bytes are the answer paths' view.
+func (sh *Sharding) prepareSummary(summary []byte) (interface{}, error) {
+	if sh.Prepare == nil {
+		return summary, nil
 	}
-	ss.prepMu.Lock()
-	defer ss.prepMu.Unlock()
-	if !ss.prepDone {
-		ss.prepared, ss.prepErr = ss.Sharding.Prepare(ss.Summary)
-		ss.prepDone = true
-	}
-	return ss.prepared, ss.prepErr
+	return sh.Prepare(summary)
 }
 
 // DatasetID implements store.Dataset.
@@ -270,43 +265,59 @@ func (ss *ShardedStore) AnswerContext(ctx context.Context, q []byte) (bool, erro
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
+	fanStart := obs.Start()
+	verdicts := make([]bool, len(ss.Stores))
+	routed, ans, err := ss.fan(ctx, q, verdicts)
+	if routed || err != nil {
+		return ans, err
+	}
+	obsShardFanout.Since(fanStart)
+	mergeStart := obs.Start()
+	ans, err = ss.merge(q, verdicts, ss.probe)
+	obsShardMerge.Since(mergeStart)
+	return ans, err
+}
+
+// fan is the one per-query route and fan-out, shared by Answer and the
+// batch's fan pass. A query Route assigns to one shard is answered there
+// unchanged (routed=true, ans is the verdict). Any other query is rewritten
+// by Fanout for every shard and probed through the member stores' prepared
+// answerers, shard i's verdict landing in verdicts[i] (left false for
+// shards Fanout drops) for merge to reduce. Callers hold ss.mu.
+func (ss *ShardedStore) fan(ctx context.Context, q []byte, verdicts []bool) (routed, ans bool, err error) {
 	owner, err := ss.Sharding.Route(q, ss.Asn)
 	if err != nil {
-		return false, err
+		return false, false, err
+	}
+	if owner >= len(ss.Stores) {
+		return false, false, fmt.Errorf("shard: route to shard %d out of range [0,%d)", owner, len(ss.Stores))
 	}
 	if owner >= 0 {
-		if owner >= len(ss.Stores) {
-			return false, fmt.Errorf("shard: route to shard %d out of range [0,%d)", owner, len(ss.Stores))
-		}
-		return ss.Stores[owner].AnswerContext(ctx, q)
+		ans, err = ss.Stores[owner].AnswerContext(ctx, q)
+		return true, ans, err
 	}
 	sv, err := ss.summaryView()
 	if err != nil {
-		return false, err
+		return false, false, err
 	}
-	fanStart := obs.Start()
-	verdicts := make([]bool, len(ss.Stores))
-	for i := range ss.Stores {
+	for i, st := range ss.Stores {
 		if err := ctx.Err(); err != nil {
-			return false, err
+			return false, false, err
 		}
-		local, keep, err := ss.fanout(q, i, sv)
-		if err != nil {
-			return false, err
+		local, keep := q, true
+		if ss.Sharding.Fanout != nil {
+			if local, keep, err = ss.Sharding.Fanout(q, i, ss.Asn, sv); err != nil {
+				return false, false, err
+			}
 		}
 		if !keep {
 			continue
 		}
-		verdicts[i], err = ss.Stores[i].Answer(local)
-		if err != nil {
-			return false, err
+		if verdicts[i], err = st.Answer(local); err != nil {
+			return false, false, err
 		}
 	}
-	obsShardFanout.Since(fanStart)
-	mergeStart := obs.Start()
-	v, err := ss.merge(q, verdicts, sv, ss.probe)
-	obsShardMerge.Since(mergeStart)
-	return v, err
+	return false, false, nil
 }
 
 // RetryPrepare implements store.PrepareRetrier: every member store
@@ -339,18 +350,9 @@ func (ss *ShardedStore) Warm() {
 	wg.Wait()
 }
 
-// fanout applies Sharding.Fanout with the identity default; sv is the
-// call's summaryView.
-func (ss *ShardedStore) fanout(q []byte, shardIdx int, sv interface{}) ([]byte, bool, error) {
-	if ss.Sharding.Fanout == nil {
-		return q, true, nil
-	}
-	return ss.Sharding.Fanout(q, shardIdx, ss.Asn, sv)
-}
-
-// merge applies Sharding.Merge with the OR default; sv is the call's
-// summaryView and probe its ss.probe, both taken once per answer call.
-func (ss *ShardedStore) merge(q []byte, verdicts []bool, sv interface{}, probe Probe) (bool, error) {
+// merge applies Sharding.Merge with the OR default; probe is ss.probe,
+// taken once per answer call. Callers hold ss.mu.
+func (ss *ShardedStore) merge(q []byte, verdicts []bool, probe Probe) (bool, error) {
 	if ss.Sharding.Merge == nil {
 		for _, v := range verdicts {
 			if v {
@@ -359,24 +361,25 @@ func (ss *ShardedStore) merge(q []byte, verdicts []bool, sv interface{}, probe P
 		}
 		return false, nil
 	}
-	return ss.Sharding.Merge(q, verdicts, ss.Asn, sv, probe)
+	return ss.Sharding.Merge(q, verdicts, ss.Asn, ss.prepared, probe)
 }
 
-// AnswerBatch answers queries concurrently, in query order, riding the
-// same per-scheme AnswerBatch worker pools a plain store uses: routed
-// queries are grouped into one batch per owning shard, fan-out queries
-// into one rewritten batch per shard, then merged per query. The first
-// error aborts the batch, matching core.Scheme.AnswerBatch semantics. The
-// read lock is held across the whole batch, so all verdicts come from one
-// maintenance version.
+// AnswerBatch answers queries concurrently, in query order, through the
+// same per-query route, fan-out and merge as Answer. The first failing
+// query (lowest index) aborts the batch, matching core.Scheme.AnswerBatch
+// semantics. The read lock is held across the whole batch, so all verdicts
+// come from one maintenance version.
 func (ss *ShardedStore) AnswerBatch(queries [][]byte, parallelism int) ([]bool, error) {
 	return ss.AnswerBatchContext(context.Background(), queries, parallelism)
 }
 
-// AnswerBatchContext implements store.ContextAnswerer: AnswerBatch with
-// the context threaded through the per-shard sub-batches and the merge
-// pool, so an expired query budget abandons the remaining work instead
-// of paying every shard.
+// AnswerBatchContext implements store.ContextAnswerer: two passes over the
+// queries on the core worker pool. The fan pass routes every query and
+// answers it on its owner, or fans it out into its row of one flat verdict
+// array; the merge pass reduces the fanned-out rows. The context is checked
+// before every per-shard probe and every merge, so an expired query budget
+// abandons the remaining work instead of paying every shard; context errors
+// come back unwrapped.
 func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte, parallelism int) ([]bool, error) {
 	ss.mu.RLock()
 	defer ss.mu.RUnlock()
@@ -385,137 +388,49 @@ func (ss *ShardedStore) AnswerBatchContext(ctx context.Context, queries [][]byte
 	}
 	n := len(ss.Stores)
 	results := make([]bool, len(queries))
-
-	// Plan every query: routed ones group by owning shard, the rest fan
-	// out.
-	routed := make([][]int, n) // shard -> indices of queries routed there
-	var fanned []int           // indices of fan-out queries
-	for i, q := range queries {
-		owner, err := ss.Sharding.Route(q, ss.Asn)
-		if err != nil {
-			return nil, fmt.Errorf("shard: batch query %d: %w", i, err)
-		}
-		if owner >= 0 {
-			if owner >= n {
-				return nil, fmt.Errorf("shard: batch query %d: route to shard %d out of range [0,%d)", i, owner, n)
-			}
-			routed[owner] = append(routed[owner], i)
-		} else {
-			fanned = append(fanned, i)
-		}
-	}
-	var sv interface{}
-	if len(fanned) > 0 {
-		var err error
-		if sv, err = ss.summaryView(); err != nil {
-			return nil, fmt.Errorf("shard: batch query %d: %w", fanned[0], err)
-		}
-	}
-
-	// Per-shard batches run concurrently across shards; inside each shard
-	// the scheme's AnswerBatch worker pool spreads the queries. The
-	// caller's parallelism budget is divided across the shards with work,
-	// so the total worker count stays what the caller (and the server's
-	// maxBatchParallelism cap) asked for instead of multiplying by n.
-	if parallelism <= 0 {
-		parallelism = runtime.GOMAXPROCS(0)
-	}
-	active := 0
-	for i := 0; i < n; i++ {
-		if len(routed[i]) > 0 || len(fanned) > 0 {
-			active++
-		}
-	}
-	perShard := parallelism
-	if active > 1 {
-		perShard = parallelism / active
-		if perShard < 1 {
-			perShard = 1
-		}
-	}
-	// verdicts[j][i] is shard i's verdict for fan-out query fanned[j]; the
-	// rows share one backing array.
-	verdicts := make([][]bool, len(fanned))
-	flat := make([]bool, len(fanned)*n)
-	for j := range verdicts {
-		verdicts[j] = flat[j*n : (j+1)*n]
-	}
-	// One observation covers the whole concurrent fan-out section: with
-	// per-shard batches in flight simultaneously, the meaningful latency is
-	// the section's wall time, not the sum of per-shard times.
-	var fanStart time.Time
-	if len(fanned) > 0 {
-		fanStart = obs.Start()
-	}
-	// One worker per shard with work: a worker that claims an idle shard
-	// moves straight on, so every busy shard still runs concurrently. The
-	// lowest failing shard's error aborts the batch.
-	_, err := core.ForEach(n, max(active, 1), func(i int) error {
-		// Routed queries travel unchanged.
-		if idxs := routed[i]; len(idxs) > 0 {
-			batch := make([][]byte, len(idxs))
-			for k, qi := range idxs {
-				batch[k] = queries[qi]
-			}
-			ans, err := ss.Stores[i].AnswerBatchContext(ctx, batch, perShard)
-			if err != nil {
-				return err
-			}
-			for k, qi := range idxs {
-				results[qi] = ans[k]
-			}
-		}
-		// Fan-out queries are rewritten for this shard; dropped ones
-		// keep their false verdict.
-		if len(fanned) > 0 {
-			var batch [][]byte
-			var owners []int // j index into fanned/verdicts
-			for j, qi := range fanned {
-				local, keep, err := ss.fanout(queries[qi], i, sv)
-				if err != nil {
-					return fmt.Errorf("shard: batch query %d: %w", qi, err)
-				}
-				if keep {
-					batch = append(batch, local)
-					owners = append(owners, j)
-				}
-			}
-			if len(batch) > 0 {
-				ans, err := ss.Stores[i].AnswerBatchContext(ctx, batch, perShard)
-				if err != nil {
-					return err
-				}
-				for k, j := range owners {
-					verdicts[j][i] = ans[k]
-				}
-			}
-		}
-		return nil
+	// fanned[i] marks a fan-out query; verdicts[i*n:(i+1)*n] is its row.
+	fanned := make([]bool, len(queries))
+	verdicts := make([]bool, len(queries)*n)
+	// One observation per pass: with queries in flight on every worker,
+	// the meaningful latency is the pass's wall time, not a per-query sum.
+	fanStart := obs.Start()
+	failed, err := core.ForEach(len(queries), parallelism, func(i int) error {
+		routed, ans, err := ss.fan(ctx, queries[i], verdicts[i*n:(i+1)*n])
+		results[i], fanned[i] = ans, !routed && err == nil
+		return err
 	})
-	obsShardFanout.Since(fanStart)
-	if err != nil {
-		return nil, err
-	}
-	if len(fanned) > 0 {
+	if slices.Contains(fanned, true) {
+		obsShardFanout.Since(fanStart)
+		// Merges below a fan failure still run, so the batch fails at the
+		// lowest failing index across both passes — the query the
+		// sequential loop would stop at.
+		limit := len(queries)
+		if err != nil {
+			limit = failed
+		}
 		mergeStart := obs.Start()
-		// Merges can be the expensive half of a fan-out batch (reachability
-		// probes O(|portals|) local queries per merge), so they ride their
-		// own bounded pool instead of serializing on the calling goroutine;
-		// the first failing merge (lowest query index) aborts the batch,
-		// matching core.Scheme.AnswerBatch.
 		probe := ss.probe
-		j, err := core.ForEach(len(fanned), parallelism, func(j int) error {
+		m, merr := core.ForEach(limit, parallelism, func(i int) error {
+			if !fanned[i] {
+				return nil
+			}
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			got, err := ss.merge(queries[fanned[j]], verdicts[j], sv, probe)
-			results[fanned[j]] = got
+			var err error
+			results[i], err = ss.merge(queries[i], verdicts[i*n:(i+1)*n], probe)
 			return err
 		})
 		obsShardMerge.Since(mergeStart)
-		if err != nil {
-			return nil, fmt.Errorf("shard: batch query %d: %w", fanned[j], err)
+		if merr != nil {
+			failed, err = m, merr
 		}
+	}
+	if err != nil {
+		if cerr := ctx.Err(); cerr != nil && errors.Is(err, cerr) {
+			return nil, err
+		}
+		return nil, fmt.Errorf("shard: batch query %d: %w", failed, err)
 	}
 	return results, nil
 }
@@ -574,16 +489,14 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 		}
 		return ss.Scheme.Answer(pending[s], q)
 	}
-	// SplitDelta receives the summary view as of the start of the batch —
-	// its contract only depends on delta-invariant summary state (vertex
-	// universe, local relabelling), so one Prepare serves the whole batch
-	// instead of one full summary decode per delta.
-	sv := interface{}(summary)
-	if ss.Sharding.Prepare != nil {
-		var err error
-		if sv, err = ss.Sharding.Prepare(summary); err != nil {
-			return oldVersion, fmt.Errorf("shard: prepare summary: %w (nothing applied)", err)
-		}
+	// SplitDelta receives the committed summary view — its contract only
+	// depends on delta-invariant summary state (vertex universe, local
+	// relabelling), so the view the answer paths use serves the whole batch
+	// instead of one full summary decode per delta. Like Summary, it is
+	// only written by maintainers.
+	sv, err := ss.summaryView()
+	if err != nil {
+		return oldVersion, fmt.Errorf("shard: prepare summary: %w (nothing applied)", err)
 	}
 	applyStart := obs.Start()
 	touched := make([]bool, n)
@@ -617,7 +530,6 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 	// Derived summary state (e.g. the reachability overlay closure) is
 	// rebuilt once for the whole batch, not once per delta.
 	if ss.Sharding.FinishSummary != nil {
-		var err error
 		if summary, err = ss.Sharding.FinishSummary(ss.Asn, summary, probe); err != nil {
 			return oldVersion, fmt.Errorf("shard: finish summary: %w (nothing applied)", err)
 		}
@@ -632,11 +544,9 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 	}); err != nil {
 		return oldVersion, err
 	}
-	var prepared interface{}
-	var prepErr error
-	if ss.Sharding.Prepare != nil {
-		prepared, prepErr = ss.Sharding.Prepare(summary)
-	}
+	// The new summary's view is decoded here, outside the reader-blocking
+	// lock, and installed with Summary below.
+	prepared, prepErr := ss.Sharding.prepareSummary(summary)
 	// Stage the touched shards' prepared answerers outside the
 	// reader-blocking lock, so the commit below swaps ⟨Π, version,
 	// prepared⟩ per shard without decoding anything while queries wait —
@@ -662,9 +572,8 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 	}
 	stageWG.Wait()
 	// Commit: everything swaps inside one writer-lock critical section,
-	// including the memoized prepared summary (refreshed under prepMu
-	// while still holding mu, so no reader can pair the new summary with
-	// the old prepared view).
+	// the prepared summary with Summary, so no reader can pair the new
+	// summary with the old view.
 	ss.mu.Lock()
 	for i, st := range ss.Stores {
 		if touched[i] {
@@ -673,11 +582,8 @@ func (ss *ShardedStore) ApplyDeltas(ctx context.Context, inc *core.IncrementalSc
 			st.BumpVersion(newVersion)
 		}
 	}
-	ss.Summary = summary
+	ss.Summary, ss.prepared, ss.prepErr = summary, prepared, prepErr
 	ss.version = newVersion
-	ss.prepMu.Lock()
-	ss.prepared, ss.prepErr, ss.prepDone = prepared, prepErr, ss.Sharding.Prepare != nil
-	ss.prepMu.Unlock()
 	ss.mu.Unlock()
 	return newVersion, nil
 }
@@ -700,24 +606,9 @@ func Build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, d
 	if err != nil {
 		return nil, fmt.Errorf("shard: build %q: %w", id, err)
 	}
-	var parts [][]byte
-	var summary []byte
-	if sh.SplitSummarize != nil {
-		parts, summary, err = sh.SplitSummarize(data, asn)
-		if err != nil {
-			return nil, fmt.Errorf("shard: build %q: split: %w", id, err)
-		}
-	} else {
-		parts, err = sh.Split(data, asn)
-		if err != nil {
-			return nil, fmt.Errorf("shard: build %q: split: %w", id, err)
-		}
-		if sh.Summarize != nil {
-			summary, err = sh.Summarize(data, asn)
-			if err != nil {
-				return nil, fmt.Errorf("shard: build %q: summarize: %w", id, err)
-			}
-		}
+	parts, summary, err := sh.Split(data, asn)
+	if err != nil {
+		return nil, fmt.Errorf("shard: build %q: split: %w", id, err)
 	}
 	if len(parts) != n {
 		return nil, fmt.Errorf("shard: build %q: split produced %d parts, want %d", id, len(parts), n)
@@ -731,6 +622,7 @@ func Build(id string, scheme *core.Scheme, sh *Sharding, p Partitioner, n int, d
 		Stores:   make([]*store.Store, n),
 		DataSum:  store.SumData(data),
 	}
+	ss.prepared, ss.prepErr = sh.prepareSummary(summary)
 	// Preprocess the parts concurrently: the per-part PTIME cost is the
 	// thing sharding scales out.
 	var wg sync.WaitGroup

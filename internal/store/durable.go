@@ -160,6 +160,22 @@ func (r *Registry) LoadOrBuild(id string, a Artifact) (Dataset, error) {
 			// from source.
 			r.quarantineArtifact(fsys, ce.Path, id)
 			quarantined = true
+			// The rebuild restarts at version 0. A surviving log whose first
+			// record past version 0 starts above it was written on top of
+			// the lost checkpoint and can never replay: set it aside too,
+			// before the rebuild's checkpoint is written, or every later
+			// restart would load that checkpoint and stop on the gap.
+			logPath := LogPath(med.Dir, id)
+			if records, err := ReadLog(fsys, logPath); err == nil {
+				for _, rec := range records {
+					if rec.FromVersion+uint64(len(rec.Deltas)) > 0 {
+						if rec.FromVersion > 0 {
+							r.quarantineArtifact(fsys, logPath, id)
+						}
+						break
+					}
+				}
+			}
 		case errors.Is(err, errUnreadable):
 			// The checkpoint is there but cannot be read now. A rebuild would
 			// overwrite acknowledged state with version 0 and drop its log;

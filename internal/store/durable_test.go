@@ -1,6 +1,7 @@
 package store_test
 
 import (
+	"os"
 	"strings"
 	"testing"
 
@@ -50,5 +51,66 @@ func TestUnreadableCheckpointFailsRegistration(t *testing.T) {
 	}
 	if got, err := st.Answer(schemes.PointQuery(9)); err != nil || !got {
 		t.Fatalf("after the outage: key 9 = (%v, %v), want (true, nil)", got, err)
+	}
+}
+
+// TestCorruptCheckpointPastZeroHeals: a checkpoint taken after version 0
+// that turns out corrupt is rebuilt from source at version 0, so the
+// surviving log — which starts at the lost checkpoint's version — can never
+// replay. The quarantine path sets that log aside with the snapshot before
+// the rebuild's checkpoint is written; otherwise every later restart would
+// load the version-0 checkpoint and stop on the gap.
+func TestCorruptCheckpointPastZeroHeals(t *testing.T) {
+	dir := t.TempDir()
+	data := schemes.RelationFromKeys([]int64{2, 4, 6})
+	reg := store.NewRegistry(dir)
+	reg.SetCheckpointEvery(2)
+	if _, err := reg.Register("k", schemes.PointSelectionScheme(), data); err != nil {
+		t.Fatal(err)
+	}
+	// Checkpoint at version 2, then one logged batch from 2 to 3.
+	for i, key := range []int64{9, 11, 13} {
+		if v, err := reg.ApplyDelta("k", [][]byte{schemes.KeysDelta([]int64{key})}); err != nil || v != uint64(i+1) {
+			t.Fatalf("ApplyDelta %d = (%d, %v), want (%d, nil)", i, v, err, i+1)
+		}
+	}
+	snap := store.SnapshotPath(dir, "k")
+	b, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0xFF
+	if err := os.WriteFile(snap, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for restart := 0; restart < 3; restart++ {
+		r := store.NewRegistry(dir)
+		r.SetCheckpointEvery(2)
+		st, err := r.Register("k", schemes.PointSelectionScheme(), data)
+		if err != nil {
+			t.Fatalf("restart %d: %v", restart, err)
+		}
+		wantLoaded, wantQuarantines, wantState := restart > 0, int64(0), store.HealthHealthy
+		if restart == 0 {
+			wantQuarantines, wantState = 2, store.HealthQuarantined
+		}
+		if st.WasLoaded() != wantLoaded || st.Version() != 0 {
+			t.Fatalf("restart %d: loaded=%v version=%d, want loaded=%v at 0", restart, st.WasLoaded(), st.Version(), wantLoaded)
+		}
+		if got := r.QuarantineCount(); got != wantQuarantines {
+			t.Fatalf("restart %d: %d quarantines, want %d", restart, got, wantQuarantines)
+		}
+		if got := r.HealthStates()["k"]; got != wantState {
+			t.Fatalf("restart %d: breaker %v, want %v", restart, got, wantState)
+		}
+		if got, err := st.Answer(schemes.PointQuery(4)); err != nil || !got {
+			t.Fatalf("restart %d: key 4 = (%v, %v), want (true, nil)", restart, got, err)
+		}
+	}
+	for _, p := range []string{snap, store.LogPath(dir, "k")} {
+		if _, err := os.Stat(store.QuarantinePath(p)); err != nil {
+			t.Errorf("%s was not set aside: %v", p, err)
+		}
 	}
 }
